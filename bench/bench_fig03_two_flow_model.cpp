@@ -27,42 +27,17 @@ struct Panel {
   double rtt_ms;
 };
 
-void run_panel(const BenchOptions& opts, const Panel& panel) {
+struct Row {
+  double ware = 0, model = 0, sim = 0, err_pct = 0;
+};
+
+// Emits one panel's table and error summary, reduced in sweep order.
+void emit_panel(const BenchOptions& opts, const Panel& panel,
+                const std::vector<double>& bdps, const Row* rows) {
   Table table({"buffer_bdp", "ware_mbps", "model_mbps", "sim_bbr_mbps",
                "model_err_pct"});
-  const TrialConfig trial = trial_config(opts);
-
   RunningStats err_1_30;
-
-  const double step = 0.5 * sweep_step_multiplier(opts.fidelity);
-  std::vector<double> bdps;
-  for (double bdp = 1.0; bdp <= 30.0 + 1e-9; bdp += step) {
-    bdps.push_back(bdp);
-  }
-
-  // Parallel cells committed by slot; the table AND the error summary are
-  // reduced in sweep order afterwards, so output is byte-identical for
-  // every --jobs value.
-  struct Row {
-    double ware = 0, model = 0, sim = 0, err_pct = 0;
-  };
-  std::vector<Row> rows(bdps.size());
-  for_each_cell(opts, bdps.size(), [&](std::size_t i) {
-    const NetworkParams net =
-        make_params(panel.capacity_mbps, panel.rtt_ms, bdps[i]);
-
-    const WarePrediction ware =
-        ware_prediction(net, WareInputs{1, to_sec(trial.duration), 1500});
-    const auto model = two_flow_prediction(net);
-    const MixOutcome sim = run_mix_trials(net, 1, 1, CcKind::kBbr, trial);
-
-    Row& r = rows[i];
-    r.ware = to_mbps(ware.lambda_bbr);
-    r.model = model ? to_mbps(model->lambda_bbr) : 0.0;
-    r.sim = sim.per_flow_other_mbps;
-    r.err_pct = r.sim > 0 ? 100.0 * (r.model - r.sim) / r.sim : 0.0;
-  });
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  for (std::size_t i = 0; i < bdps.size(); ++i) {
     const Row& r = rows[i];
     err_1_30.add(std::abs(r.err_pct));
     table.add_row({bdps[i], r.ware, r.model, r.sim, r.err_pct});
@@ -91,7 +66,37 @@ int main(int argc, char** argv) {
       {"(c) 100 Mbps, 40 ms", 100.0, 40.0},
       {"(d) 100 Mbps, 80 ms", 100.0, 80.0},
   };
-  for (const auto& p : panels) run_panel(opts, p);
+  const TrialConfig trial = trial_config(opts);
+  const double step = 0.5 * sweep_step_multiplier(opts.fidelity);
+  std::vector<double> bdps;
+  for (double bdp = 1.0; bdp <= 30.0 + 1e-9; bdp += step) {
+    bdps.push_back(bdp);
+  }
+
+  // One parallel region for the whole figure over a panel-major flat
+  // index, each cell committing into its slot; every panel's table AND
+  // error summary are reduced in sweep order afterwards, so output is
+  // byte-identical for every --jobs value.
+  std::vector<Row> rows(panels.size() * bdps.size());
+  for_each_cell(opts, rows.size(), [&](std::size_t c) {
+    const Panel& panel = panels[c / bdps.size()];
+    const NetworkParams net =
+        make_params(panel.capacity_mbps, panel.rtt_ms, bdps[c % bdps.size()]);
+
+    const WarePrediction ware =
+        ware_prediction(net, WareInputs{1, to_sec(trial.duration), 1500});
+    const auto model = two_flow_prediction(net);
+    const MixOutcome sim = run_mix_trials(net, 1, 1, CcKind::kBbr, trial);
+
+    Row& r = rows[c];
+    r.ware = to_mbps(ware.lambda_bbr);
+    r.model = model ? to_mbps(model->lambda_bbr) : 0.0;
+    r.sim = sim.per_flow_other_mbps;
+    r.err_pct = r.sim > 0 ? 100.0 * (r.model - r.sim) / r.sim : 0.0;
+  });
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    emit_panel(opts, panels[p], bdps, &rows[p * bdps.size()]);
+  }
   print_parallel_summary(opts);
   return 0;
 }

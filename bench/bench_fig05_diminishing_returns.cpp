@@ -6,6 +6,7 @@
 // eventually crosses the fair-share line.
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -16,26 +17,42 @@ using namespace bbrnash::bench;
 
 namespace {
 
-void run_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
-  Table table({"num_bbr", "sync_bound_mbps", "desync_bound_mbps",
-               "sim_bbr_mbps", "fair_share_mbps"});
-  const TrialConfig trial = trial_config(opts);
-  const NetworkParams net = make_params(100.0, 40.0, buffer_bdp);
-  const double fair = to_mbps(net.capacity) / total_flows;
+struct Row {
+  double lo = 0, hi = 0, sim = 0;
+};
 
+struct Panel {
+  int total_flows;
+  double buffer_bdp;
+  std::vector<int> ks;    ///< BBR-flow counts swept, in table order
+  std::vector<Row> rows;  ///< one slot per k
+};
+
+Panel make_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
+  Panel panel{total_flows, buffer_bdp, {}, {}};
   const int step = opts.fidelity == Fidelity::kQuick ? 3
                    : opts.fidelity == Fidelity::kFull ? 1
                                                       : (total_flows > 10 ? 2 : 1);
-  std::vector<int> ks;
-  for (int k = 1; k <= total_flows; k += step) ks.push_back(k);
+  for (int k = 1; k <= total_flows; k += step) panel.ks.push_back(k);
+  panel.rows.resize(panel.ks.size());
+  return panel;
+}
 
-  // Parallel cells, slot-committed; table rows and trend statistics are
-  // reduced in k order afterwards (byte-identical for every --jobs, and —
-  // under --workers N — for every fabric claim/crash schedule).
-  struct Row {
-    double lo = 0, hi = 0, sim = 0;
-  };
-  std::vector<Row> rows(ks.size());
+// Finishes one panel whose in-process simulations already committed into
+// panel.rows (under --workers N the panel's cells run on the fabric here
+// instead), then reduces the table rows and trend statistics in k order:
+// byte-identical for every --jobs, and for every fabric claim/crash
+// schedule.
+void finish_panel(const BenchOptions& opts, Panel& panel,
+                  const TrialConfig& trial) {
+  Table table({"num_bbr", "sync_bound_mbps", "desync_bound_mbps",
+               "sim_bbr_mbps", "fair_share_mbps"});
+  const int total_flows = panel.total_flows;
+  const std::vector<int>& ks = panel.ks;
+  std::vector<Row>& rows = panel.rows;
+  const NetworkParams net = make_params(100.0, 40.0, panel.buffer_bdp);
+  const double fair = to_mbps(net.capacity) / total_flows;
+
   if (opts.workers >= 1) {
     std::vector<FabricCell> cells;
     cells.reserve(ks.size());
@@ -52,13 +69,6 @@ void run_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
       }
     }
     print_fabric_summary(opts, out.stats);
-  } else {
-    for_each_cell(opts, ks.size(), [&](std::size_t i) {
-      const int k = ks[i];
-      const MixOutcome sim =
-          run_mix_trials(net, total_flows - k, k, CcKind::kBbr, trial);
-      rows[i].sim = sim.per_flow_other_mbps;
-    });
   }
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const int nc = total_flows - ks[i];
@@ -96,7 +106,7 @@ void run_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
 
   if (!opts.csv) {
     std::printf("-- panel: %d flows, %.0f BDP buffer --\n", total_flows,
-                buffer_bdp);
+                panel.buffer_bdp);
   }
   emit(opts, table);
   if (!opts.csv) {
@@ -118,10 +128,31 @@ int main(int argc, char** argv) {
   const BenchOptions opts = parse_options(argc, argv);
   print_banner(opts, "Figure 5",
                "per-flow BBR throughput vs number of BBR flows");
-  run_panel(opts, 10, 3.0);
-  run_panel(opts, 20, 3.0);
-  run_panel(opts, 10, 10.0);
-  run_panel(opts, 20, 10.0);
+  std::vector<Panel> panels = {
+      make_panel(opts, 10, 3.0), make_panel(opts, 20, 3.0),
+      make_panel(opts, 10, 10.0), make_panel(opts, 20, 10.0)};
+  const TrialConfig trial = trial_config(opts);
+
+  // In-process, the cells of all four panels run in one parallel region
+  // over a panel-major flat index, each committing into its panel's slot.
+  if (opts.workers < 1) {
+    std::vector<std::pair<std::size_t, std::size_t>> cells;  // (panel, k slot)
+    for (std::size_t p = 0; p < panels.size(); ++p) {
+      for (std::size_t i = 0; i < panels[p].ks.size(); ++i) {
+        cells.emplace_back(p, i);
+      }
+    }
+    for_each_cell(opts, cells.size(), [&](std::size_t c) {
+      Panel& panel = panels[cells[c].first];
+      const std::size_t i = cells[c].second;
+      const int k = panel.ks[i];
+      const NetworkParams net = make_params(100.0, 40.0, panel.buffer_bdp);
+      const MixOutcome sim = run_mix_trials(net, panel.total_flows - k, k,
+                                            CcKind::kBbr, trial);
+      panel.rows[i].sim = sim.per_flow_other_mbps;
+    });
+  }
+  for (Panel& panel : panels) finish_panel(opts, panel, trial);
   print_parallel_summary(opts);
   return 0;
 }

@@ -27,36 +27,21 @@ namespace {
 
 constexpr int kTotalFlows = 50;
 
-void run_panel(const BenchOptions& opts, double cap_mbps, double rtt_ms,
-               const std::vector<double>& buffers) {
+struct Panel {
+  double cap_mbps;
+  double rtt_ms;
+};
+
+struct Row {
+  bool has_region = false;
+  double sync = 0, desync = 0;
+  int k_ne = 0;
+};
+
+void emit_panel(const BenchOptions& opts, const Panel& panel,
+                const std::vector<double>& buffers, const Row* rows) {
   Table table({"buffer_bdp", "cubic_at_ne_sync", "cubic_at_ne_desync",
                "cubic_at_ne_sim"});
-  NashSearchConfig cfg;
-  cfg.trial = trial_config(opts);
-  // One trial per probed distribution keeps the search tractable below
-  // `full`; the NE tolerance absorbs the trial noise.
-  if (opts.fidelity != Fidelity::kFull) cfg.trial.trials = 1;
-
-  // Buffer points are independent NE searches: run them as parallel cells
-  // (the adaptive crossing search stays serial *within* a cell), then emit
-  // rows in sweep order.
-  struct Row {
-    bool has_region = false;
-    double sync = 0, desync = 0;
-    int k_ne = 0;
-  };
-  std::vector<Row> rows(buffers.size());
-  for_each_cell(opts, buffers.size(), [&](std::size_t i) {
-    const NetworkParams net = make_params(cap_mbps, rtt_ms, buffers[i]);
-    const auto region = predict_nash_region(net, kTotalFlows);
-    Row& r = rows[i];
-    if (region) {
-      r.has_region = true;
-      r.sync = region->sync.num_cubic;
-      r.desync = region->desync.num_cubic;
-    }
-    r.k_ne = find_ne_crossing(net, kTotalFlows, cfg);
-  });
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const Row& r = rows[i];
     table.add_row(
@@ -65,7 +50,10 @@ void run_panel(const BenchOptions& opts, double cap_mbps, double rtt_ms,
          r.has_region ? format_double(r.desync, 1) : "n/a",
          format_double(static_cast<double>(kTotalFlows - r.k_ne), 0)});
   }
-  if (!opts.csv) std::printf("-- panel: %.0f Mbps, %.0f ms --\n", cap_mbps, rtt_ms);
+  if (!opts.csv) {
+    std::printf("-- panel: %.0f Mbps, %.0f ms --\n", panel.cap_mbps,
+                panel.rtt_ms);
+  }
   emit(opts, table);
 }
 
@@ -88,13 +76,37 @@ int main(int argc, char** argv) {
       for (double b = 1; b <= 50; b += 2.5) buffers.push_back(b);
       break;
   }
+  const std::vector<Panel> panels = {{50, 20},  {50, 40},  {50, 80},
+                                     {100, 20}, {100, 40}, {100, 80}};
 
-  const double caps[] = {50.0, 100.0};
-  const double rtts[] = {20.0, 40.0, 80.0};
-  for (const double cap : caps) {
-    for (const double rtt : rtts) {
-      run_panel(opts, cap, rtt, buffers);
+  NashSearchConfig cfg;
+  cfg.trial = trial_config(opts);
+  // One trial per probed distribution keeps the search tractable below
+  // `full`; the NE tolerance absorbs the trial noise.
+  if (opts.fidelity != Fidelity::kFull) cfg.trial.trials = 1;
+
+  // The cells of the whole figure are the unit of parallel work: every
+  // (panel, buffer) point is an independent NE search (serial within the
+  // cell, since the crossing search is adaptive), so all of them run in
+  // one region over a panel-major flat index with no barrier between
+  // panels. Each cell commits its row into its slot; the tables are then
+  // emitted panel by panel in sweep order, byte-identical for every --jobs.
+  std::vector<Row> rows(panels.size() * buffers.size());
+  for_each_cell(opts, rows.size(), [&](std::size_t c) {
+    const Panel& panel = panels[c / buffers.size()];
+    const NetworkParams net =
+        make_params(panel.cap_mbps, panel.rtt_ms, buffers[c % buffers.size()]);
+    const auto region = predict_nash_region(net, kTotalFlows);
+    Row& r = rows[c];
+    if (region) {
+      r.has_region = true;
+      r.sync = region->sync.num_cubic;
+      r.desync = region->desync.num_cubic;
     }
+    r.k_ne = find_ne_crossing(net, kTotalFlows, cfg);
+  });
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    emit_panel(opts, panels[p], buffers, &rows[p * buffers.size()]);
   }
 
   if (!opts.csv) {

@@ -4,6 +4,7 @@
 // at least as many CUBIC flows as BBR's for the same buffer (BBRv2 is less
 // aggressive because it reacts to loss).
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -17,38 +18,19 @@ namespace {
 
 constexpr int kTotalFlows = 50;
 
-void run_panel(const BenchOptions& opts, double cap_mbps,
-               const std::vector<double>& buffers,
-               const std::vector<double>& rtts) {
+struct Row {
+  bool has_region = false;
+  double lo = 0, hi = 0;
+  int k_ne = 0;
+};
+
+// Emits one capacity panel's (buffer x RTT) table in grid order.
+void emit_panel(const BenchOptions& opts, double cap_mbps,
+                const std::vector<double>& buffers,
+                const std::vector<double>& rtts, const Row* rows) {
   Table table({"buffer_bdp", "rtt_ms", "bbr_region_lo", "bbr_region_hi",
                "cubic_at_ne_bbrv2"});
-  NashSearchConfig cfg;
-  cfg.challenger = CcKind::kBbrV2;
-  cfg.trial = trial_config(opts);
-  if (opts.fidelity != Fidelity::kFull) cfg.trial.trials = 1;
-
-  // Flatten the (buffer x RTT) grid into independent parallel NE
-  // searches; rows are emitted in grid order.
-  struct Row {
-    bool has_region = false;
-    double lo = 0, hi = 0;
-    int k_ne = 0;
-  };
-  std::vector<Row> rows(buffers.size() * rtts.size());
-  for_each_cell(opts, rows.size(), [&](std::size_t c) {
-    const double bdp = buffers[c / rtts.size()];
-    const double rtt = rtts[c % rtts.size()];
-    const NetworkParams net = make_params(cap_mbps, rtt, bdp);
-    const auto region = predict_nash_region(net, kTotalFlows);
-    Row& r = rows[c];
-    if (region) {
-      r.has_region = true;
-      r.lo = region->cubic_low();
-      r.hi = region->cubic_high();
-    }
-    r.k_ne = find_ne_crossing(net, kTotalFlows, cfg);
-  });
-  for (std::size_t c = 0; c < rows.size(); ++c) {
+  for (std::size_t c = 0; c < buffers.size() * rtts.size(); ++c) {
     const Row& r = rows[c];
     table.add_row(
         {format_double(buffers[c / rtts.size()], 1),
@@ -84,8 +66,34 @@ int main(int argc, char** argv) {
       rtts = {20, 40, 80};
       break;
   }
-  run_panel(opts, 50.0, buffers, rtts);
-  run_panel(opts, 100.0, buffers, rtts);
+  const double caps[] = {50.0, 100.0};
+
+  NashSearchConfig cfg;
+  cfg.challenger = CcKind::kBbrV2;
+  cfg.trial = trial_config(opts);
+  if (opts.fidelity != Fidelity::kFull) cfg.trial.trials = 1;
+
+  // Flatten the whole figure — capacity panel x buffer x RTT, panel-major —
+  // into one parallel region of independent NE searches; rows are emitted
+  // panel by panel in grid order.
+  const std::size_t per_panel = buffers.size() * rtts.size();
+  std::vector<Row> rows(std::size(caps) * per_panel);
+  for_each_cell(opts, rows.size(), [&](std::size_t c) {
+    const std::size_t g = c % per_panel;
+    const NetworkParams net = make_params(
+        caps[c / per_panel], rtts[g % rtts.size()], buffers[g / rtts.size()]);
+    const auto region = predict_nash_region(net, kTotalFlows);
+    Row& r = rows[c];
+    if (region) {
+      r.has_region = true;
+      r.lo = region->cubic_low();
+      r.hi = region->cubic_high();
+    }
+    r.k_ne = find_ne_crossing(net, kTotalFlows, cfg);
+  });
+  for (std::size_t p = 0; p < std::size(caps); ++p) {
+    emit_panel(opts, caps[p], buffers, rtts, &rows[p * per_panel]);
+  }
   print_parallel_summary(opts);
   return 0;
 }

@@ -9,8 +9,8 @@ Bbr::Bbr(const BbrConfig& cfg)
       rng_(cfg.seed),
       btlbw_(FilterKind::kMax, /*window=*/cfg.btlbw_window_rounds, 0.0) {
   // Per-ack bandwidth samples: pre-size the monotone ring so the filter
-  // never grows (allocates) on the ack hot path mid-run.
-  btlbw_.reserve(4096);
+  // does not grow (allocate) on the ack hot path mid-run.
+  btlbw_.reserve(kBandwidthFilterReserve);
 }
 
 void Bbr::on_start(TimeNs now) {

@@ -8,7 +8,7 @@ BbrV2::BbrV2(const BbrV2Config& cfg)
     : cfg_(cfg),
       rng_(cfg.seed),
       btlbw_(FilterKind::kMax, cfg.btlbw_window_rounds, 0.0) {
-  btlbw_.reserve(4096);  // no filter growth on the ack hot path
+  btlbw_.reserve(kBandwidthFilterReserve);  // no growth on the ack hot path
 }
 
 void BbrV2::on_start(TimeNs now) {

@@ -8,8 +8,13 @@ Copa::Copa(const CopaConfig& cfg)
     : cfg_(cfg),
       min_rtt_(FilterKind::kMin, cfg.min_rtt_window, kTimeInf),
       standing_rtt_(FilterKind::kMin, from_ms(50), kTimeInf) {
-  min_rtt_.reserve(4096);  // no filter growth on the ack hot path
-  standing_rtt_.reserve(4096);
+  // No filter growth on the ack hot path. Sized from measured high-water
+  // marks (every reserved slot is resident, see kBandwidthFilterReserve):
+  // over 120-s runs of 1-5 Copa flows alone or against CUBIC/BBR at 20-100
+  // Mbps and 2-30 BDP, the long-window min peaked at 1102 samples (1 Copa
+  // + 1 CUBIC, 50 Mbps, 80 ms, 30 BDP) and the standing-RTT min at 295.
+  min_rtt_.reserve(2048);
+  standing_rtt_.reserve(512);
 }
 
 void Copa::on_start(TimeNs now) {

@@ -108,8 +108,12 @@ int find_ne_crossing(const NetworkParams& net, int total_flows,
   const double tol = cfg.tolerance_frac * fair_mbps;
 
   // The crossing search is adaptive — which cell runs next depends on the
-  // last result — so cells stay serial here; parallelism comes from the
-  // trial loop inside each probed cell (cfg.trial.jobs).
+  // last result — so its probes stay serial here. The unit of parallel
+  // work is one whole search: figure drivers run all the searches of a
+  // figure as cells of a single parallel region. The per-probe trial loop
+  // adds no parallelism there, since a parallel_for inside a pool task
+  // runs inline (and below `full` fidelity it is a single trial anyway);
+  // it fans out on cfg.trial.jobs only when called outside a pool.
   std::map<int, MixOutcome> cache;
   const auto log = open_checkpoint(cfg);
   const auto outcome_at = [&](int k) -> const MixOutcome& {

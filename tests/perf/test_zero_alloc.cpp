@@ -154,6 +154,31 @@ TEST(ZeroAlloc, TenFlowSteadyStateAllocatesNothing) {
   EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
 }
 
+// Deep buffers stretch BBR's rounds, so its per-ack bandwidth filter
+// holds its longest monotone sample runs there. The filter ring is sized
+// from measured high-water marks (kBandwidthFilterReserve), not a worst
+// case; these two shapes gate that size. First, many BBR flows sharing
+// the link:
+TEST(ZeroAlloc, BbrHeavyDeepBufferSteadyStateAllocatesNothing) {
+  const SteadyAllocs a =
+      run_dumbbell(8, 2, mbps(100), 10.0, ImpairmentConfig{}, from_sec(5),
+                   from_sec(15));
+  EXPECT_GT(a.events, 10000u);
+  EXPECT_EQ(a.news, 0u) << "steady-state hot path allocated";
+  EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
+}
+
+// One BBR flow owns half of a fast deep-buffered link: the largest filter
+// high-water mark seen at test scale (871 samples by 60 s).
+TEST(ZeroAlloc, LoneBbrDeepBufferSteadyStateAllocatesNothing) {
+  const SteadyAllocs a =
+      run_dumbbell(1, 1, mbps(100), 10.0, ImpairmentConfig{}, from_sec(5),
+                   from_sec(60));
+  EXPECT_GT(a.events, 10000u);
+  EXPECT_EQ(a.news, 0u) << "steady-state hot path allocated";
+  EXPECT_EQ(a.deletes, 0u) << "steady-state hot path freed";
+}
+
 // Loss + jitter + reordering drives the retransmit and out-of-order
 // reassembly paths, which historically hid per-packet allocations.
 TEST(ZeroAlloc, ImpairedSteadyStateAllocatesNothing) {

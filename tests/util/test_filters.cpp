@@ -80,11 +80,19 @@ TEST(WindowedFilter, ResetEmpties) {
 
 // Property sweep: the exact filter agrees with a brute-force recomputation
 // over random sample streams.
+// gtest names each case by a byte dump of its parameter, padding included.
+// The padding after `kind` is therefore a named, zeroed member: left as
+// padding it held stack garbage, and the case names changed from run to run.
 struct FilterSweepParam {
+  FilterSweepParam(FilterKind k, TimeNs w, std::uint64_t s)
+      : kind{k}, window{w}, seed{s} {}
+
   FilterKind kind;
+  std::uint32_t zero_pad = 0;
   TimeNs window;
   std::uint64_t seed;
 };
+static_assert(sizeof(FilterSweepParam) == 24, "no unnamed padding");
 
 class WindowedFilterProperty
     : public ::testing::TestWithParam<FilterSweepParam> {};
