@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "exp/chaos.hpp"
+#include "util/canonical_text.hpp"
 
 namespace bbrnash {
 
@@ -15,54 +17,48 @@ namespace {
 /// Reserved field holding the cell key inside each record.
 constexpr const char* kKeyField = "key";
 
-void append_kv(std::string& out, const char* key, double v) {
+/// Appends " <prefix><suffix>=<canonical text of v>". The field name comes
+/// in two parts so impairment fields ("di" + ".l") need no temporary.
+template <typename T>
+void append_kv(std::string& out, std::string_view prefix,
+               std::string_view suffix, T v) {
   out += ' ';
-  out += key;
+  out += prefix;
+  out += suffix;
   out += '=';
-  out += canonical_double(v);
+  append_canonical(out, v);
 }
 
-void append_kv(std::string& out, const char* key, long long v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, " %s=%lld", key, v);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, unsigned long long v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, " %s=%llu", key, v);
-  out += buf;
+template <typename T>
+void append_kv(std::string& out, std::string_view key, T v) {
+  append_kv(out, key, {}, v);
 }
 
 /// Every ImpairmentConfig knob, raw (the Gilbert chain is keyed by its four
 /// parameters, not its stationary loss rate — two chains with the same
 /// long-run rate but different burstiness measure differently).
-void append_impairments(std::string& out, const std::string& tag,
+void append_impairments(std::string& out, std::string_view tag,
                         const ImpairmentConfig& c) {
-  append_kv(out, (tag + ".l").c_str(), c.loss_rate);
-  append_kv(out, (tag + ".gpgb").c_str(), c.gilbert.p_good_to_bad);
-  append_kv(out, (tag + ".gpbg").c_str(), c.gilbert.p_bad_to_good);
-  append_kv(out, (tag + ".glg").c_str(), c.gilbert.loss_good);
-  append_kv(out, (tag + ".glb").c_str(), c.gilbert.loss_bad);
-  append_kv(out, (tag + ".ro").c_str(), c.reorder_rate);
-  append_kv(out, (tag + ".rod").c_str(),
-            static_cast<long long>(c.reorder_delay));
-  append_kv(out, (tag + ".dup").c_str(), c.duplicate_rate);
-  append_kv(out, (tag + ".j").c_str(), static_cast<long long>(c.jitter));
-  append_kv(out, (tag + ".spp").c_str(),
-            static_cast<long long>(c.spikes.period));
-  append_kv(out, (tag + ".spw").c_str(),
-            static_cast<long long>(c.spikes.width));
-  append_kv(out, (tag + ".spm").c_str(),
-            static_cast<long long>(c.spikes.magnitude));
+  append_kv(out, tag, ".l", c.loss_rate);
+  append_kv(out, tag, ".gpgb", c.gilbert.p_good_to_bad);
+  append_kv(out, tag, ".gpbg", c.gilbert.p_bad_to_good);
+  append_kv(out, tag, ".glg", c.gilbert.loss_good);
+  append_kv(out, tag, ".glb", c.gilbert.loss_bad);
+  append_kv(out, tag, ".ro", c.reorder_rate);
+  append_kv(out, tag, ".rod", static_cast<long long>(c.reorder_delay));
+  append_kv(out, tag, ".dup", c.duplicate_rate);
+  append_kv(out, tag, ".j", static_cast<long long>(c.jitter));
+  append_kv(out, tag, ".spp", static_cast<long long>(c.spikes.period));
+  append_kv(out, tag, ".spw", static_cast<long long>(c.spikes.width));
+  append_kv(out, tag, ".spm", static_cast<long long>(c.spikes.magnitude));
 }
 
 }  // namespace
 
 std::string canonical_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_canonical(out, v);
+  return out;
 }
 
 CheckpointLog::CheckpointLog(std::string path, ChaosInjector* chaos)

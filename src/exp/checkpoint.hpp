@@ -83,8 +83,8 @@ class CheckpointLog {
 };
 
 /// Canonical text form of a floating-point knob inside a checkpoint or
-/// oracle key: %.17g, the same full round-trip precision JsonlRecord uses
-/// for values. Every float that enters a key MUST go through this one
+/// oracle key: %.17g (util/canonical_text.hpp), the same text JsonlRecord
+/// writes for values. Every float that enters a key MUST go through this one
 /// helper — a key computed before a crash and recomputed after resume
 /// (possibly from a value that round-tripped through the log) must be the
 /// same string, or the resumed run silently re-runs (or worse, collides)

@@ -90,6 +90,28 @@ std::optional<MixKeyAxes> parse_mix_key_axes(const std::string& key) {
   return axes;
 }
 
+std::optional<MixKeyAxes> query_key_axes(const OracleQuery& q,
+                                         const std::string& key) {
+  // parse_mix_key_axes reads the axes as unsigned decimal, so a negative
+  // one never reaches the lattice.
+  if (q.net.buffer_bytes < 0 || q.num_cubic < 0 || q.num_other < 0) {
+    return std::nullopt;
+  }
+  MixKeyAxes axes;
+  axes.buffer = q.net.buffer_bytes;
+  axes.num_cubic = q.num_cubic;
+  axes.num_other = q.num_other;
+  // mix_checkpoint_key starts "mix c=.. b=.. r=.. nc=.. no=.. cc=..": the
+  // base is the key with the b=, nc= and no= fields cut out.
+  const std::size_t b = key.find(' ', 4);
+  const std::size_t r = key.find(' ', b + 1);
+  const std::size_t nc = key.find(' ', r + 1);
+  const std::size_t cc = key.find(' ', key.find(' ', nc + 1) + 1);
+  axes.base.reserve(key.size());
+  axes.base.append(key, 0, b).append(key, r, nc - r).append(key, cc);
+  return axes;
+}
+
 std::optional<MixOutcome> model_only_outcome(const NetworkParams& net,
                                              int num_cubic, int num_bbr,
                                              double duration_sec) {
@@ -391,47 +413,52 @@ std::optional<OracleAnswer> PayoffOracle::cached_tiers_locked(
   }
 
   // Tier 2: bounded multilinear interpolation + closed-form cross-check.
-  if (cfg_.allow_interpolation) {
-    const auto axes = parse_mix_key_axes(key);
-    if (axes) {
-      const auto blend = try_interpolate_locked(q, *axes);
-      if (!blend) {
-        ++stats_.interp_no_bounds;
-      } else {
-        OracleAnswer ans;
-        ans.key = key;
-        ans.fidelity = OracleFidelity::kInterpolated;
-        ans.outcome = *blend;
-        ans.status = OracleStatus::kOk;
-        bool reject = false;
-        if (model_applies(q)) {
-          const auto band = model_band(q.net, q.num_cubic, q.num_other,
-                                       to_sec(q.trial.duration));
-          if (band) {
-            ans.band_deviation =
-                band_deviation(*band, mbps(blend->per_flow_cubic_mbps),
-                               mbps(blend->per_flow_other_mbps));
-            reject = ans.band_deviation > cfg_.max_band_deviation;
-          }
-        }
-        if (!reject) {
-          ++stats_.interpolated;
-          return ans;
-        }
-        ++stats_.interp_band_rejected;
-      }
-    }
-  }
+  if (cfg_.allow_interpolation) return interpolated_locked(q, key);
   return std::nullopt;
 }
 
+std::optional<OracleAnswer> PayoffOracle::interpolated_locked(
+    const OracleQuery& q, const std::string& key) {
+  const auto axes = query_key_axes(q, key);
+  if (!axes) return std::nullopt;
+  const auto blend = try_interpolate_locked(q, *axes);
+  if (!blend) {
+    ++stats_.interp_no_bounds;
+    return std::nullopt;
+  }
+  OracleAnswer ans;
+  ans.key = key;
+  ans.fidelity = OracleFidelity::kInterpolated;
+  ans.outcome = *blend;
+  ans.status = OracleStatus::kOk;
+  if (model_applies(q)) {
+    const auto band = model_band(q.net, q.num_cubic, q.num_other,
+                                 to_sec(q.trial.duration));
+    if (band) {
+      ans.band_deviation =
+          band_deviation(*band, mbps(blend->per_flow_cubic_mbps),
+                         mbps(blend->per_flow_other_mbps));
+      if (ans.band_deviation > cfg_.max_band_deviation) {
+        ++stats_.interp_band_rejected;
+        return std::nullopt;
+      }
+    }
+  }
+  ++stats_.interpolated;
+  return ans;
+}
+
 OracleAnswer PayoffOracle::query(const OracleQuery& q) {
-  const std::string key = oracle_key(q);
+  return query_keyed(q, oracle_key(q));
+}
+
+OracleAnswer PayoffOracle::query_keyed(const OracleQuery& q,
+                                       const std::string& key) {
   {
     const std::lock_guard<std::mutex> lk{mu_};
     ++stats_.queries;
-    const auto cached = cached_tiers_locked(q, key);
-    if (cached) return *cached;
+    auto cached = cached_tiers_locked(q, key);
+    if (cached) return std::move(*cached);
   }
   // Tier 3 (outside the lock: it may run the simulator for a while).
   return answer_miss(q, key);
@@ -440,7 +467,7 @@ OracleAnswer PayoffOracle::query(const OracleQuery& q) {
 std::optional<OracleAnswer> PayoffOracle::query_cached(const OracleQuery& q) {
   const std::string key = oracle_key(q);
   const std::lock_guard<std::mutex> lk{mu_};
-  const auto cached = cached_tiers_locked(q, key);
+  auto cached = cached_tiers_locked(q, key);
   // A miss does not count as a query here: the caller is still deciding
   // what the miss becomes (compute / shed / pending), and that path will
   // do its own accounting.
@@ -522,7 +549,7 @@ std::vector<OracleAnswer> PayoffOracle::query_batch(
     }
     if (!miss || cfg_.no_compute || cfg_.fabric_workers < 1) {
       // Cheap tiers — or a compute mode where per-cell calls lose nothing.
-      answers[i] = query(qs[i]);
+      answers[i] = query_keyed(qs[i], key);
       continue;
     }
     // Re-check the cheap tiers through query()'s logic is wasteful here;
@@ -546,38 +573,10 @@ std::vector<OracleAnswer> PayoffOracle::query_batch(
       {
         const std::lock_guard<std::mutex> lk{mu_};
         if (cfg_.allow_interpolation) {
-          const auto axes = parse_mix_key_axes(misses[m].key);
-          if (axes) {
-            const auto blend = try_interpolate_locked(q, *axes);
-            if (blend) {
-              OracleAnswer ans;
-              ans.key = misses[m].key;
-              ans.fidelity = OracleFidelity::kInterpolated;
-              ans.outcome = *blend;
-              ans.status = OracleStatus::kOk;
-              bool reject = false;
-              if (model_applies(q)) {
-                const auto band =
-                    model_band(q.net, q.num_cubic, q.num_other,
-                               to_sec(q.trial.duration));
-                if (band) {
-                  ans.band_deviation = band_deviation(
-                      *band, mbps(blend->per_flow_cubic_mbps),
-                      mbps(blend->per_flow_other_mbps));
-                  reject = ans.band_deviation > cfg_.max_band_deviation;
-                }
-              }
-              if (!reject) {
-                ++stats_.queries;
-                ++stats_.interpolated;
-                answers[misses[m].idx] = ans;
-                answered = true;
-              } else {
-                ++stats_.interp_band_rejected;
-              }
-            } else {
-              ++stats_.interp_no_bounds;
-            }
+          if (auto ans = interpolated_locked(q, misses[m].key)) {
+            ++stats_.queries;
+            answers[misses[m].idx] = std::move(*ans);
+            answered = true;
           }
         }
       }

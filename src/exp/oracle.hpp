@@ -112,6 +112,12 @@ struct MixKeyAxes {
 };
 [[nodiscard]] std::optional<MixKeyAxes> parse_mix_key_axes(
     const std::string& key);
+/// The same axes for a query's own key, taken from the query's fields
+/// instead of parsed back out of the text: equal to
+/// parse_mix_key_axes(key) whenever `key` is oracle_key(q). The oracle's
+/// read path uses this; parse_mix_key_axes stays for hydrated keys.
+[[nodiscard]] std::optional<MixKeyAxes> query_key_axes(
+    const OracleQuery& q, const std::string& key);
 
 struct [[nodiscard]] OracleAnswer {
   OracleStatus status = OracleStatus::kFailed;
@@ -234,8 +240,16 @@ class PayoffOracle {
   /// per-tier hit/reject ones).
   [[nodiscard]] std::optional<OracleAnswer> cached_tiers_locked(
       const OracleQuery& q, const std::string& key);
+  /// Tier 2 under mu_: the interpolated answer, or nullopt when the blend
+  /// would extrapolate or lands outside the model band (each counted).
+  /// `key` is oracle_key(q).
+  [[nodiscard]] std::optional<OracleAnswer> interpolated_locked(
+      const OracleQuery& q, const std::string& key);
   [[nodiscard]] std::optional<MixOutcome> try_interpolate_locked(
       const OracleQuery& q, const MixKeyAxes& axes);
+  /// query() for a caller that already built oracle_key(q).
+  [[nodiscard]] OracleAnswer query_keyed(const OracleQuery& q,
+                                         const std::string& key);
   [[nodiscard]] OracleAnswer answer_miss(const OracleQuery& q,
                                          const std::string& key);
 

@@ -1,8 +1,9 @@
 #include "exp/telemetry.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
+
+#include "util/canonical_text.hpp"
 
 namespace bbrnash {
 
@@ -34,9 +35,8 @@ double SnapshotLog::goodput_between(std::size_t i, std::size_t flow) const {
 // t = 100 s on a 2-minute run and collapses distinct pacing rates. 17
 // significant digits reproduce any IEEE-754 double exactly.
 static void put_full(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  char buf[kCanonicalTextMax];
+  os.write(buf, write_canonical(buf, v) - buf);
 }
 
 void SnapshotLog::write_csv(std::ostream& os) const {

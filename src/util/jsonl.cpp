@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/canonical_text.hpp"
+
 namespace bbrnash {
 
 namespace {
@@ -188,19 +190,12 @@ std::string JsonlRecord::encode() const {
       case Value::Kind::kString:
         append_escaped(out, val.s);
         break;
-      case Value::Kind::kU64: {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(val.u));
-        out += buf;
+      case Value::Kind::kU64:
+        append_canonical(out, static_cast<unsigned long long>(val.u));
         break;
-      }
-      case Value::Kind::kDouble: {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", val.d);
-        out += buf;
+      case Value::Kind::kDouble:
+        append_canonical(out, val.d);
         break;
-      }
     }
   }
   out += "}";

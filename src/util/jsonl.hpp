@@ -1,9 +1,10 @@
 // Minimal flat JSONL records for crash-safe experiment checkpoints.
 //
 // One record = one flat JSON object on one line. Values are strings,
-// unsigned integers or doubles; doubles are printed with %.17g so a
-// written value parses back bit-identically — a resumed sweep must
-// reproduce the uninterrupted run's numbers exactly. This is deliberately
+// unsigned integers or doubles; doubles are printed as %.17g
+// (util/canonical_text.hpp) so a written value parses back
+// bit-identically — a resumed sweep must reproduce the uninterrupted
+// run's numbers exactly. This is deliberately
 // not a general JSON library (no nesting, no arrays): checkpoints don't
 // need them, and a handwritten flat parser is easy to make robust against
 // the one corruption mode that matters — a partial trailing line left by

@@ -149,11 +149,35 @@ TEST(CanonicalDouble, KeyPinnedForReferenceConfig) {
             key);
 }
 
-TEST(OracleKey, InjectiveUnderKnobFuzz) {
-  // Every generated config differs from every other in at least one knob;
-  // all keys must be distinct. Exercises ints, floats and the schedule.
-  std::set<std::string> keys;
-  int generated = 0;
+TEST(CanonicalDouble, KeyPinnedForFractionalConfig) {
+  // KeyPinnedForReferenceConfig formats only integer-valued doubles. This
+  // one pins the fixed-point and exponent forms too: a fractional capacity,
+  // a 1e-7 loss rate, Gilbert probabilities, a fractional wall limit and
+  // one scheduled rate. The expected text was produced by the
+  // snprintf("%.17g") encoder that cache files were first written with.
+  NetworkParams net = make_params(100, 40, 4);
+  net.capacity = 12500000.1;
+  TrialConfig cfg;
+  cfg.impairments.loss_rate = 1e-7;
+  cfg.impairments.gilbert.p_good_to_bad = 0.05;
+  cfg.impairments.gilbert.p_bad_to_good = 0.3;
+  cfg.guard.watchdog.max_wall_seconds = 2.5;
+  cfg.capacity_schedule.push_back(RateChange{from_sec(10), net.capacity * 0.5});
+  EXPECT_EQ(mix_checkpoint_key(net, 3, 2, CcKind::kBbr, cfg),
+            "mix c=12500000.1 b=2000000 r=40000000 nc=3 no=2 cc=bbr "
+            "d=40000000000 w=8000000000 t=3 s=1 di.l=9.9999999999999995e-08 "
+            "di.gpgb=0.050000000000000003 di.gpbg=0.29999999999999999 "
+            "di.glg=0 di.glb=1 di.ro=0 di.rod=0 di.dup=0 di.j=0 di.spp=0 "
+            "di.spw=0 di.spm=0 ai.l=0 ai.gpgb=0 ai.gpbg=1 ai.glg=0 "
+            "ai.glb=1 ai.ro=0 ai.rod=0 ai.dup=0 ai.j=0 ai.spp=0 ai.spw=0 "
+            "ai.spm=0 sc.at=10000000000 sc.rate=6250000.0499999998 g.ev=0 "
+            "g.wall=2.5 g.att=1 g.bump=2654435769");
+}
+
+/// The knob-fuzz configs: every one differs from every other in at least
+/// one knob (ints, floats and the schedule).
+std::vector<OracleQuery> knob_fuzz_queries() {
+  std::vector<OracleQuery> out;
   for (int i = 0; i < 60; ++i) {
     OracleQuery q = make_oq(2 + (i % 5), 1 + (i % 3), 1 + (i / 3) % 2,
                             quick_trial());
@@ -163,10 +187,43 @@ TEST(OracleKey, InjectiveUnderKnobFuzz) {
       q.trial.capacity_schedule.push_back(
           RateChange{from_sec(1 + i), q.net.capacity * (0.5 + 0.001 * i)});
     }
-    keys.insert(oracle_key(q));
-    ++generated;
+    out.push_back(std::move(q));
   }
-  EXPECT_EQ(static_cast<int>(keys.size()), generated);
+  return out;
+}
+
+TEST(OracleKey, InjectiveUnderKnobFuzz) {
+  // All keys must be distinct.
+  std::set<std::string> keys;
+  const std::vector<OracleQuery> qs = knob_fuzz_queries();
+  for (const OracleQuery& q : qs) keys.insert(oracle_key(q));
+  EXPECT_EQ(keys.size(), qs.size());
+}
+
+TEST(OracleKey, QueryAxesEqualParsedKeyAxes) {
+  // The read path takes the lattice axes from the query instead of parsing
+  // its key back; both must agree field for field, base key included.
+  std::vector<OracleQuery> qs = knob_fuzz_queries();
+  OracleQuery fractional = make_oq(3.7, 12, 0, quick_trial());
+  fractional.net.capacity += 0.25;
+  qs.push_back(fractional);
+  for (const OracleQuery& q : qs) {
+    const std::string key = oracle_key(q);
+    const auto parsed = parse_mix_key_axes(key);
+    const auto derived = query_key_axes(q, key);
+    ASSERT_TRUE(parsed.has_value()) << key;
+    ASSERT_TRUE(derived.has_value()) << key;
+    EXPECT_EQ(derived->buffer, parsed->buffer);
+    EXPECT_EQ(derived->num_cubic, parsed->num_cubic);
+    EXPECT_EQ(derived->num_other, parsed->num_other);
+    EXPECT_EQ(derived->base, parsed->base);
+  }
+  // A negative axis never parses, so it never yields lattice coordinates.
+  OracleQuery negative = make_oq(2, 1, 1, quick_trial());
+  negative.num_other = -1;
+  const std::string key = oracle_key(negative);
+  EXPECT_FALSE(parse_mix_key_axes(key).has_value());
+  EXPECT_FALSE(query_key_axes(negative, key).has_value());
 }
 
 TEST(OracleKey, AxesRoundTripAndGarbageRejected) {

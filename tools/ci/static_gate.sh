@@ -4,7 +4,7 @@
 #   1. bbrnash-lint over the real tree (per-file rules + the semantic
 #      passes: include-graph layering, signal-safety, schema-registry),
 #   2. the clang-tidy baseline gate (skips cleanly when clang-tidy is not
-#      installed),
+#      installed, and says so in the summary),
 #   3. a warning-hardened build (-Wall -Wextra -Wpedantic -Wconversion …
 #      promoted to errors via BBRNASH_WERROR=ON).
 #
@@ -20,6 +20,11 @@
 # re-drives the build with the tree's existing settings, failing on any
 # compiler warning in the output. That keeps the inner-loop test cheap
 # while CI keeps the fresh hardened build.
+#
+# The last line names every gate and whether it ran or was skipped, e.g.
+#   static_gate: PASS (bbrnash-lint: ran; clang-tidy: skipped, not
+#   installed; warning-clean build: ran)
+# so a PASS never hides a gate that did not run.
 #
 # Exit codes: 0 gate passed, 1 violations/warnings, 2 usage or build
 # failure.
@@ -58,16 +63,25 @@ if [ -z "$LINT_BIN" ]; then
   echo "static_gate: bbrnash-lint binary not found under $BUILD_DIR" >&2
   exit 2
 fi
+lint_status="ran"
 if ! "$LINT_BIN" --root "$SRC_ROOT" --no-suppressions; then
+  lint_status="ran, failed"
   fail=1
 fi
 
 echo "== static_gate: clang-tidy baseline gate =="
 "$SRC_ROOT/tools/lint/clang_tidy_gate.sh" "$SRC_ROOT" "$BUILD_DIR"
 tidy_rc=$?
+tidy_status="ran"
 if [ "$tidy_rc" -eq 77 ]; then
-  echo "static_gate: clang-tidy unavailable; gate step skipped"
+  if command -v "${CLANG_TIDY:-clang-tidy}" >/dev/null 2>&1; then
+    tidy_status="skipped, no compile_commands.json"
+  else
+    tidy_status="skipped, not installed"
+  fi
+  echo "static_gate: clang-tidy $tidy_status"
 elif [ "$tidy_rc" -ne 0 ]; then
+  tidy_status="ran, failed"
   fail=1
 fi
 
@@ -79,15 +93,18 @@ if ! cmake --build "$BUILD_DIR" -j > "$BUILD_LOG" 2>&1; then
   echo "static_gate: build failed" >&2
   exit 2
 fi
+build_status="ran"
 if grep -E 'warning:|error:' "$BUILD_LOG" > /dev/null; then
   grep -E 'warning:|error:' "$BUILD_LOG"
   echo "static_gate: compiler diagnostics in the build output" >&2
+  build_status="ran, diagnostics"
   fail=1
 fi
 
+summary="bbrnash-lint: $lint_status; clang-tidy: $tidy_status; warning-clean build: $build_status"
 if [ "$fail" -eq 0 ]; then
-  echo "static_gate: PASS"
+  echo "static_gate: PASS ($summary)"
 else
-  echo "static_gate: FAIL" >&2
+  echo "static_gate: FAIL ($summary)" >&2
 fi
 exit "$fail"
