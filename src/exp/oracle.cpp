@@ -161,26 +161,6 @@ JsonlRecord oracle_record(const MixOutcome& m) {
   return rec;
 }
 
-/// The key with its nc=/no= fields elided: misses sharing a compute group
-/// differ only in the mix, which is exactly what one run_fabric_cells call
-/// sweeps.
-std::string compute_group_key(const std::string& key) {
-  std::string out;
-  out.reserve(key.size());
-  std::size_t pos = 0;
-  while (pos < key.size()) {
-    std::size_t end = key.find(' ', pos);
-    if (end == std::string::npos) end = key.size();
-    const std::string_view token{key.data() + pos, end - pos};
-    if (token.rfind("nc=", 0) != 0 && token.rfind("no=", 0) != 0) {
-      if (!out.empty()) out += ' ';
-      out += token;
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 PayoffOracle::PayoffOracle(OracleConfig cfg) : cfg_(std::move(cfg)) {
@@ -341,29 +321,8 @@ OracleAnswer PayoffOracle::answer_miss(const OracleQuery& q,
   // Tier 3: genuinely compute the cell, then memoize + persist. The
   // numbers are a pure function of the key, so a racing thread computing
   // the same cell writes the same bits.
-  MixOutcome m;
-  if (cfg_.fabric_workers >= 1) {
-    FabricConfig fab = cfg_.fabric;
-    fab.workers = cfg_.fabric_workers;
-    if (fab.checkpoint_path.empty() && !cfg_.cache_path.empty()) {
-      fab.checkpoint_path = cfg_.cache_path + ".fabric.jsonl";
-    }
-    const FabricOutcome out = run_fabric_cells(
-        q.net, {FabricCell{q.num_cubic, q.num_other}}, q.challenger, q.trial,
-        fab);
-    if (out.cells.size() != 1 || !out.cells[0].has_value()) {
-      ans.status = OracleStatus::kFailed;
-      ans.message = out.message.empty() ? "fabric returned no measurement"
-                                        : out.message;
-      const std::lock_guard<std::mutex> lk{mu_};
-      ++stats_.failed;
-      return ans;
-    }
-    m = *out.cells[0];
-  } else {
-    m = run_mix_trials(q.net, q.num_cubic, q.num_other, q.challenger,
-                       q.trial);
-  }
+  const MixOutcome m = run_mix_trials(q.net, q.num_cubic, q.num_other,
+                                      q.challenger, q.trial);
 
   if (log_) log_->record(key, oracle_record(m));
   {
@@ -449,11 +408,7 @@ std::optional<OracleAnswer> PayoffOracle::interpolated_locked(
 }
 
 OracleAnswer PayoffOracle::query(const OracleQuery& q) {
-  return query_keyed(q, oracle_key(q));
-}
-
-OracleAnswer PayoffOracle::query_keyed(const OracleQuery& q,
-                                       const std::string& key) {
+  const std::string key = oracle_key(q);
   {
     const std::lock_guard<std::mutex> lk{mu_};
     ++stats_.queries;
@@ -469,8 +424,8 @@ std::optional<OracleAnswer> PayoffOracle::query_cached(const OracleQuery& q) {
   const std::lock_guard<std::mutex> lk{mu_};
   auto cached = cached_tiers_locked(q, key);
   // A miss does not count as a query here: the caller is still deciding
-  // what the miss becomes (compute / shed / pending), and that path will
-  // do its own accounting.
+  // what the miss becomes (compute / pending), and that path will do its
+  // own accounting.
   if (cached) ++stats_.queries;
   return cached;
 }
@@ -480,10 +435,10 @@ OracleAnswer PayoffOracle::query_compute(const OracleQuery& q) {
   {
     const std::lock_guard<std::mutex> lk{mu_};
     ++stats_.queries;
-    // A racing request may have landed the cell while this one sat in a
-    // compute queue; serve the memo rather than re-running the simulator.
-    // (Interpolation is deliberately NOT consulted here: the caller queued
-    // this query because it wants the empirical cell.)
+    // Another thread may have landed the cell since the caller's miss;
+    // serve the memo rather than re-running the simulator.
+    // (Interpolation is deliberately NOT consulted here: the caller asked
+    // for the empirical cell.)
     const auto it = memo_.find(key);
     if (it != memo_.end()) {
       ++stats_.exact_hits;
@@ -512,19 +467,9 @@ OracleAnswer PayoffOracle::answer_without_compute(const OracleQuery& q,
   }
   ans.status = OracleStatus::kPending;
   ans.reason = reason;
-  if (reason == "shed") {
-    ans.message =
-        "cell not cached and the daemon shed the request under queue "
-        "pressure; retry to re-enter the compute queue";
-  } else if (reason == "timeout") {
-    ans.message =
-        "compute exceeded the request deadline; the cell is still being "
-        "materialized — retry to pick up the cached answer";
-  } else {
-    ans.message =
-        "cell not cached and --no-compute forbids scheduling it; drop "
-        "--no-compute (or run `bbrnash sweep`) to materialize the cell";
-  }
+  ans.message =
+      "cell not cached and --no-compute forbids scheduling it; drop "
+      "--no-compute (or run `bbrnash sweep`) to materialize the cell";
   const std::lock_guard<std::mutex> lk{mu_};
   ++stats_.pending;
   return ans;
@@ -532,126 +477,9 @@ OracleAnswer PayoffOracle::answer_without_compute(const OracleQuery& q,
 
 std::vector<OracleAnswer> PayoffOracle::query_batch(
     const std::vector<OracleQuery>& qs) {
-  std::vector<OracleAnswer> answers(qs.size());
-  // Pass 1: everything the cache/model can answer, plus the miss list.
-  struct Miss {
-    std::size_t idx = 0;
-    std::string key;
-    std::string group;
-  };
-  std::vector<Miss> misses;
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const std::string key = oracle_key(qs[i]);
-    bool miss = false;
-    {
-      const std::lock_guard<std::mutex> lk{mu_};
-      miss = memo_.find(key) == memo_.end();
-    }
-    if (!miss || cfg_.no_compute || cfg_.fabric_workers < 1) {
-      // Cheap tiers — or a compute mode where per-cell calls lose nothing.
-      answers[i] = query_keyed(qs[i], key);
-      continue;
-    }
-    // Re-check the cheap tiers through query()'s logic is wasteful here;
-    // interpolation may still answer without compute. Probe it by
-    // temporarily treating this as a single query with compute deferred.
-    misses.push_back(Miss{i, key, compute_group_key(key)});
-  }
-
-  // Pass 2: fabric mode — one run per compute group, cells deduplicated.
-  std::map<std::string, std::vector<std::size_t>> groups;
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    groups[misses[m].group].push_back(m);
-  }
-  for (const auto& [group_key, members] : groups) {
-    (void)group_key;
-    // Interpolation might still answer some members without a fabric trip.
-    std::vector<std::size_t> need;
-    for (const std::size_t m : members) {
-      const OracleQuery& q = qs[misses[m].idx];
-      bool answered = false;
-      {
-        const std::lock_guard<std::mutex> lk{mu_};
-        if (cfg_.allow_interpolation) {
-          if (auto ans = interpolated_locked(q, misses[m].key)) {
-            ++stats_.queries;
-            answers[misses[m].idx] = std::move(*ans);
-            answered = true;
-          }
-        }
-      }
-      if (!answered) need.push_back(m);
-    }
-    if (need.empty()) continue;
-
-    // One fabric run for the whole group: same net/challenger/trial by
-    // construction of the group key, cells differ only in the mix.
-    const OracleQuery& q0 = qs[misses[need.front()].idx];
-    std::vector<FabricCell> cells;
-    std::vector<std::vector<std::size_t>> cell_members;  // dedup by mix
-    for (const std::size_t m : need) {
-      const OracleQuery& q = qs[misses[m].idx];
-      bool found = false;
-      for (std::size_t c = 0; c < cells.size(); ++c) {
-        if (cells[c].num_cubic == q.num_cubic &&
-            cells[c].num_other == q.num_other) {
-          cell_members[c].push_back(m);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        cells.push_back(FabricCell{q.num_cubic, q.num_other});
-        cell_members.push_back({m});
-      }
-    }
-    FabricConfig fab = cfg_.fabric;
-    fab.workers = cfg_.fabric_workers;
-    if (fab.checkpoint_path.empty() && !cfg_.cache_path.empty()) {
-      fab.checkpoint_path = cfg_.cache_path + ".fabric.jsonl";
-    }
-    const FabricOutcome out =
-        run_fabric_cells(q0.net, cells, q0.challenger, q0.trial, fab);
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      const bool have = c < out.cells.size() && out.cells[c].has_value();
-      if (have) {
-        // Record/insert once per cell (members of a cell share one key),
-        // and `computed` counts cells actually run — a deduplicated
-        // duplicate query must not inflate it.
-        const MixOutcome& mo = *out.cells[c];
-        const std::string& cell_key = misses[cell_members[c].front()].key;
-        if (log_) log_->record(cell_key, oracle_record(mo));
-        const std::lock_guard<std::mutex> lk{mu_};
-        insert_locked(cell_key, mo);
-        ++stats_.computed;
-      }
-      for (const std::size_t m : cell_members[c]) {
-        const std::size_t idx = misses[m].idx;
-        OracleAnswer& ans = answers[idx];
-        ans.key = misses[m].key;
-        const std::lock_guard<std::mutex> lk{mu_};
-        ++stats_.queries;
-        if (have) {
-          const MixOutcome& mo = *out.cells[c];
-          ans.outcome = mo;
-          ans.fidelity = OracleFidelity::kExact;
-          if (mo.trials_completed == 0) {
-            ans.status = OracleStatus::kFailed;
-            ans.message = mo.failures.empty() ? "no completed trials"
-                                              : mo.failures.front();
-            ++stats_.failed;
-          } else {
-            ans.status = OracleStatus::kOk;
-          }
-        } else {
-          ans.status = OracleStatus::kFailed;
-          ans.message = out.message.empty() ? "fabric returned no measurement"
-                                            : out.message;
-          ++stats_.failed;
-        }
-      }
-    }
-  }
+  std::vector<OracleAnswer> answers;
+  answers.reserve(qs.size());
+  for (const OracleQuery& q : qs) answers.push_back(query(q));
   return answers;
 }
 

@@ -2,8 +2,8 @@
 // over the sweep machinery.
 //
 // The paper's central question — "what throughput share does the
-// (N_cubic, N_other) mix get at (C, B, RTT, impairment)?" — is a query
-// millions of clients could issue, not a batch job. The oracle answers it
+// (N_cubic, N_other) mix get at (C, B, RTT, impairment)?" — is a query an
+// NE search or a figure driver issues over and over. The oracle answers it
 // through a three-tier path, cheapest first:
 //
 //   1. exact        the canonical cell key (mix_checkpoint_key — the SAME
@@ -25,11 +25,12 @@
 //   2b. model-only  when nothing useful is cached but the Mishra/Ware
 //                   closed forms apply (challenger BBR, pristine path,
 //                   B >= 1 BDP), answer from the model midpoint in O(µs).
-//   3. compute      genuine miss: run the cell — in-process by default,
-//                   or scheduled on the multi-process fabric
-//                   (run_fabric_cells) when `fabric_workers >= 1`. Under
-//                   `no_compute` the oracle returns kPending instead and
-//                   NEVER fabricates a number.
+//   3. compute      genuine miss: run the cell in-process on the calling
+//                   thread (run_mix_trials). Under `no_compute` the oracle
+//                   returns kPending instead and NEVER fabricates a number.
+//                   Processes share computed cells through the cache file:
+//                   each one hydrates from the others' logs (cache_path /
+//                   hydrate_paths).
 //
 // Every computed answer is recorded to the `bbrnash-oracle-v1` append-only
 // JSONL cache through CheckpointLog, so the cache inherits the same
@@ -60,7 +61,6 @@
 
 #include "cc/congestion_control.hpp"
 #include "exp/checkpoint.hpp"
-#include "exp/fabric.hpp"
 #include "exp/sweeps.hpp"
 #include "model/network_params.hpp"
 
@@ -128,10 +128,9 @@ struct [[nodiscard]] OracleAnswer {
   /// Mishra/Ware envelope (0 = inside), or -1 when the models do not apply
   /// to this cell (non-BBR challenger, impaired path, B < 1 BDP).
   double band_deviation = -1.0;
-  /// WHY a kPending answer has no numbers: "no-compute" (the config forbids
-  /// running the simulator), "shed" (the serve daemon dropped the request
-  /// under queue pressure), or "timeout" (the request's deadline expired
-  /// before the compute finished). Empty for kOk/kFailed.
+  /// WHY a kPending answer has no numbers: the caller's tag, passed through
+  /// answer_without_compute ("no-compute" when the config forbids running
+  /// the simulator). Empty for kOk/kFailed.
   std::string reason;
   std::string message;      ///< non-empty for kPending/kFailed
 
@@ -155,13 +154,6 @@ struct OracleConfig {
   /// than this outside the closed-form envelope (fraction of the model
   /// midpoint). Only applied where the models are valid.
   double max_band_deviation = 0.75;
-  /// Tier-3 compute: 0 = in-process run_mix_trials on the calling thread;
-  /// >= 1 = schedule on the multi-process fabric with this many workers.
-  int fabric_workers = 0;
-  /// Fabric knobs for fabric_workers >= 1 (workers is overridden). When
-  /// fabric.checkpoint_path is empty the fabric coordinates through
-  /// "<cache_path>.fabric.jsonl" so a killed compute resumes too.
-  FabricConfig fabric;
 };
 
 /// Monotone counters; snapshot via PayoffOracle::stats().
@@ -189,30 +181,22 @@ class PayoffOracle {
   /// The CHEAP tiers only (exact memo / interpolation / nothing): returns
   /// the answer when one is available without running the simulator,
   /// nullopt on a genuine miss (which does not touch the stats counters —
-  /// the caller decides whether the miss becomes a compute, a shed, or a
-  /// pending answer). The serve daemon answers these inline on its poll
-  /// thread. Thread-safe.
+  /// the caller decides whether the miss becomes a compute or a pending
+  /// answer). Thread-safe.
   [[nodiscard]] std::optional<OracleAnswer> query_cached(const OracleQuery& q);
 
-  /// The COMPUTE path for a known miss: re-checks the exact memo (a racing
-  /// request may have landed the cell while this one sat in a queue), then
-  /// runs tier 3. The serve daemon's compute workers call this off the
-  /// poll thread. Thread-safe.
+  /// The COMPUTE path for a known miss: re-checks the exact memo (another
+  /// thread may have landed the cell since the caller's query_cached), then
+  /// runs tier 3. Thread-safe.
   [[nodiscard]] OracleAnswer query_compute(const OracleQuery& q);
 
   /// The answer for a miss that must NOT compute: the closed-form
   /// model-only tier when it applies, else kPending carrying `reason`
-  /// ("shed" / "no-compute" / "timeout") — numbers are never fabricated.
-  /// This is the serve daemon's load-shedding and deadline-downgrade
-  /// primitive. Thread-safe.
+  /// (e.g. "no-compute") — numbers are never fabricated. Thread-safe.
   [[nodiscard]] OracleAnswer answer_without_compute(const OracleQuery& q,
                                                    const std::string& reason);
 
-  /// Answers a batch. Cheap tiers answer inline; the misses are grouped by
-  /// shared (net, challenger, trial) and — with fabric_workers >= 1 — each
-  /// group is scheduled as ONE fabric run, so a thousand-cell batch pays
-  /// the fork/lease overhead once per group instead of once per cell.
-  /// Answers come back in input order.
+  /// Answers each query as query() would, in input order.
   [[nodiscard]] std::vector<OracleAnswer> query_batch(
       const std::vector<OracleQuery>& qs);
 
@@ -247,9 +231,6 @@ class PayoffOracle {
       const OracleQuery& q, const std::string& key);
   [[nodiscard]] std::optional<MixOutcome> try_interpolate_locked(
       const OracleQuery& q, const MixKeyAxes& axes);
-  /// query() for a caller that already built oracle_key(q).
-  [[nodiscard]] OracleAnswer query_keyed(const OracleQuery& q,
-                                         const std::string& key);
   [[nodiscard]] OracleAnswer answer_miss(const OracleQuery& q,
                                          const std::string& key);
 
