@@ -3,9 +3,10 @@
 // Every paper figure is produced by sweeps that push hundreds of millions
 // of packet events through the discrete-event core, so the per-event cost
 // is the scale knob that matters after PR 2's cross-cell parallelism. This
-// driver pins that cost down: it wires four representative dumbbell
-// scenarios directly onto the simulator (no sweep/checkpoint machinery in
-// the way), runs each one, and reports
+// harness pins that cost down: it builds four representative dumbbell
+// scenarios with the production topology builder (exp/dumbbell.hpp, the
+// same wiring run_scenario uses), drives the simulator directly (no
+// watchdog/sweep/checkpoint machinery in the way), and reports
 //   * events/sec and ns/event over the steady-state window (post-warmup),
 //   * allocations per event in steady state (via the counting-allocator
 //     hook in src/util/alloc_counter.*) — the pooled event core must hold
@@ -19,7 +20,8 @@
 //
 // Usage:
 //   bench_perf_simcore [--quick] [--repeat N] [--check] [--json PATH]
-//     --quick   quarter-length runs (the CI smoke configuration)
+//     --quick   quarter-length measured windows after the full warm-ups
+//               (the CI smoke configuration)
 //     --repeat  run each scenario N times, keep the fastest (default 1)
 //     --check   exit non-zero when steady-state allocations are nonzero
 //               (deterministic, so safe for CI; no timing assertions)
@@ -53,14 +55,10 @@
 #include <string>
 #include <vector>
 
-#include "cc/cc_variant.hpp"
-#include "cc/congestion_control.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "net/impairment.hpp"
 #include "exp/cli_flags.hpp"
+#include "exp/dumbbell.hpp"
+#include "exp/scenario.hpp"
+#include "net/impairment.hpp"
 #include "sim/simulator.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/jsonl.hpp"
@@ -111,103 +109,27 @@ struct Measurement {
   }
 };
 
-/// A packet plus its bottleneck sojourn, travelling the forward delay line
-/// (same shape the scenario runner uses).
-struct Delivery {
-  Packet pkt;
-  TimeNs sojourn;
-};
-
-/// SplitMix64 finalizer: deterministic per-flow seed streams.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + stream * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 Measurement run_case(const PerfCase& pc) {
-  const auto n = static_cast<std::uint32_t>(pc.bbr_flows + pc.cubic_flows);
-  Simulator sim;
-  const Bytes bdp = bdp_bytes(pc.capacity, pc.rtt);
-  const Bytes buffer = std::max<Bytes>(
+  Scenario sc;
+  sc.capacity = pc.capacity;
+  sc.buffer_bytes = std::max<Bytes>(
       3 * (kDefaultMss + kHeaderBytes),
-      static_cast<Bytes>(static_cast<double>(bdp) * pc.buffer_bdps));
-  BottleneckLink link{sim, pc.capacity, buffer, n};
-
-  // Pre-size every per-packet pool past its expected high-water mark, so
-  // nothing grows (allocates) inside the measured steady-state window: the
-  // aggregate in-flight span is bounded by BDP + buffer packets, and each
-  // in-flight packet accounts for a handful of scheduled events. Per-flow
-  // pools get the aggregate span scaled by the flow count (with slack for
-  // skew) — oversizing them is not free, because a ring's head sweeps its
-  // whole buffer and an oversized ring trades cache locality for nothing.
-  // All pools still grow on demand if a scenario overruns the hint.
-  const auto total_window_pkts = static_cast<std::size_t>(
-      (bdp + buffer) / (kDefaultMss + kHeaderBytes) + 1);
-  const std::size_t per_flow_pkts = 4 * total_window_pkts / n + 512;
-  sim.reserve_events(16 * total_window_pkts + 4096);
-
-  std::vector<std::unique_ptr<Sender>> senders;
-  std::vector<std::unique_ptr<Receiver>> receivers;
-  std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd;
-  std::vector<std::unique_ptr<DelayLine<Ack>>> rev;
-  std::vector<std::unique_ptr<ImpairmentStage<Packet>>> stages(n);
-  senders.reserve(n);
-  receivers.reserve(n);
-  fwd.reserve(n);
-  rev.reserve(n);
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    receivers.push_back(std::make_unique<Receiver>(i));
-    fwd.push_back(std::make_unique<DelayLine<Delivery>>(sim, pc.rtt / 2));
-    rev.push_back(
-        std::make_unique<DelayLine<Ack>>(sim, pc.rtt - pc.rtt / 2));
-    if (pc.impair.any()) {
-      stages[i] = std::make_unique<ImpairmentStage<Packet>>(
-          sim, pc.impair, mix_seed(42, i + 1));
-      stages[i]->set_sink([&link](const Packet& p) { link.send(p); });
-    }
-
-    CcConfig cfg;
-    cfg.seed = mix_seed(7, i + 1);
-    const CcKind kind =
-        i < static_cast<std::uint32_t>(pc.bbr_flows) ? CcKind::kBbr
-                                                     : CcKind::kCubic;
-    ImpairmentStage<Packet>* stage = stages[i].get();
-    senders.push_back(std::make_unique<Sender>(
-        sim, i, SenderConfig{}, make_cc_variant(kind, cfg),
-        [&link, stage](const Packet& p) {
-          if (stage != nullptr) {
-            stage->send(p);
-          } else {
-            link.send(p);
-          }
-        }));
-
-
-    senders.back()->reserve_windows(per_flow_pkts);
-    receivers.back()->reserve_reorder(per_flow_pkts);
-
-    fwd[i]->set_sink([&receivers, i](const Delivery& d) {
-      receivers[i]->on_packet(d.pkt, d.sojourn);
-    });
-    receivers[i]->set_ack_sink(
-        [&rev, i](const Ack& ack) { rev[i]->send(ack); });
-    rev[i]->set_sink(
-        [&senders, i](const Ack& ack) { senders[i]->on_ack(ack); });
+      static_cast<Bytes>(static_cast<double>(bdp_bytes(pc.capacity, pc.rtt)) *
+                         pc.buffer_bdps));
+  for (int i = 0; i < pc.bbr_flows; ++i) {
+    sc.flows.push_back({CcKind::kBbr, pc.rtt});
   }
-  link.set_sink([&sim, &fwd](const Packet& pkt) {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim.now() - pkt.enqueued_at;
-    fwd[pkt.flow]->send(Delivery{pkt, sojourn});
-  });
-
-  // Stagger starts across one RTT so slow starts decorrelate (fixed stride:
-  // the bench must be deterministic run to run).
-  for (std::uint32_t i = 0; i < n; ++i) {
-    senders[i]->start(static_cast<TimeNs>(i) * (pc.rtt / std::max(1u, n)));
+  for (int i = 0; i < pc.cubic_flows; ++i) {
+    sc.flows.push_back({CcKind::kCubic, pc.rtt});
   }
+  sc.impairments = pc.impair;
+
+  // The production wiring plus the steady-state reserve, so nothing grows
+  // (allocates) inside the measured window.
+  Simulator sim;
+  Dumbbell net{sim, sc, nullptr, nullptr};
+  net.reserve_steady_state();
+  net.start();
 
   // bbrnash-lint: allow(wall-clock) -- this harness MEASURES wall time
   // (events/sec, ns/event); timing never feeds back into simulation state.
@@ -230,37 +152,36 @@ Measurement run_case(const PerfCase& pc) {
   m.steady_wall_sec = std::chrono::duration<double>(t2 - t1).count();
   m.steady_allocs = allocs::news() - warm_news;
   m.steady_frees = allocs::deletes() - warm_deletes;
-  for (const auto& r : receivers) m.packets_delivered += r->packets_received();
+  for (std::uint32_t i = 0; i < net.flows(); ++i) {
+    m.packets_delivered += net.receiver(i).packets_received();
+  }
   return m;
 }
 
 std::vector<PerfCase> make_cases(bool quick) {
-  const double scale = quick ? 0.25 : 1.0;
-  const auto secs = [scale](double s) { return from_sec(s * scale); };
-
   PerfCase two_flow;
   two_flow.name = "two_flow";
   two_flow.bbr_flows = 1;
   two_flow.cubic_flows = 1;
   two_flow.capacity = mbps(200);
-  two_flow.duration = secs(12);
-  two_flow.warmup = secs(4);
+  two_flow.duration = from_sec(12);
+  two_flow.warmup = from_sec(4);
 
   PerfCase fifty_flow;
   fifty_flow.name = "fifty_flow";
   fifty_flow.bbr_flows = 25;
   fifty_flow.cubic_flows = 25;
   fifty_flow.capacity = mbps(400);
-  fifty_flow.duration = secs(8);
-  fifty_flow.warmup = secs(3);
+  fifty_flow.duration = from_sec(8);
+  fifty_flow.warmup = from_sec(3);
 
   PerfCase impaired;
   impaired.name = "impaired";
   impaired.bbr_flows = 2;
   impaired.cubic_flows = 2;
   impaired.capacity = mbps(100);
-  impaired.duration = secs(12);
-  impaired.warmup = secs(4);
+  impaired.duration = from_sec(12);
+  impaired.warmup = from_sec(4);
   impaired.impair.loss_rate = 0.005;
   impaired.impair.jitter = from_ms(2);
   impaired.impair.reorder_rate = 0.001;
@@ -272,10 +193,19 @@ std::vector<PerfCase> make_cases(bool quick) {
   deep_buffer.cubic_flows = 1;
   deep_buffer.capacity = mbps(100);
   deep_buffer.buffer_bdps = 50.0;
-  deep_buffer.duration = secs(12);
-  deep_buffer.warmup = secs(4);
+  deep_buffer.duration = from_sec(12);
+  deep_buffer.warmup = from_sec(4);
 
-  return {two_flow, fifty_flow, impaired, deep_buffer};
+  std::vector<PerfCase> cases{two_flow, fifty_flow, impaired, deep_buffer};
+  // --quick measures a quarter-length window after the SAME warm-up: the
+  // warm-up is how long slow start and BBR's startup take to bring every
+  // pool to its high-water mark, and that does not shrink with the window.
+  if (quick) {
+    for (PerfCase& c : cases) {
+      c.duration = c.warmup + (c.duration - c.warmup) / 4;
+    }
+  }
+  return cases;
 }
 
 void write_json(const std::string& path, bool quick,

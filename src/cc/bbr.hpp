@@ -54,6 +54,8 @@ class Bbr final : public CongestionControl {
   // Introspection (tests, traces, ablations).
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] BytesPerSec btlbw() const { return btlbw_.best(); }
+  /// Pre-sizes the bandwidth filter ring past kBandwidthFilterReserve.
+  void reserve_filter(std::size_t samples) { btlbw_.reserve(samples); }
   [[nodiscard]] TimeNs rtprop() const { return rtprop_; }
   [[nodiscard]] Bytes bdp_estimate() const { return bdp(1.0); }
   [[nodiscard]] double pacing_gain() const { return pacing_gain_; }

@@ -62,6 +62,8 @@ class BbrV2 final : public CongestionControl {
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] BytesPerSec btlbw() const { return btlbw_.best(); }
+  /// Pre-sizes the bandwidth filter ring past kBandwidthFilterReserve.
+  void reserve_filter(std::size_t samples) { btlbw_.reserve(samples); }
   [[nodiscard]] TimeNs rtprop() const { return rtprop_; }
   [[nodiscard]] Bytes inflight_hi() const { return inflight_hi_; }
   [[nodiscard]] Bytes inflight_lo() const { return inflight_lo_; }

@@ -9,17 +9,15 @@
 // every member call resolves to a direct (inlinable — all seven classes
 // are `final`) call on the concrete type.
 //
-// The virtual interface stays fully supported as the eighth alternative:
-// a std::unique_ptr<CongestionControl> adapter. Tests, examples, and
-// custom/mock algorithms keep constructing Senders from unique_ptrs and
-// pay exactly the old virtual-dispatch cost; the simulation results are
-// bit-identical either way (same algorithm code, same arithmetic — only
-// the call mechanics differ), which tests/exp pin via the jobs x dispatch
-// equivalence suite.
+// make_cc_variant (factory.cpp) is the only way a simulation builds its
+// CCAs. The eighth alternative, a std::unique_ptr<CongestionControl>, is
+// the seam for test doubles only: a scripted CC (tests/flow/test_sender.cpp)
+// drives the Sender through it at virtual-dispatch cost. No run goes
+// through it.
 //
 // Adding CCA #8: see DESIGN.md §6a — implement the class (final, derived
 // from CongestionControl for introspection), append it to the Var
-// alternative list *before* the unique_ptr adapter, add a case label to
+// alternative list *before* the unique_ptr seam, add a case label to
 // both dispatch() overloads, and extend make_cc_variant in factory.cpp.
 #pragma once
 
@@ -44,7 +42,7 @@ class CcVariant {
 
   /// Switch-on-index dispatch (instead of std::visit's function-pointer
   /// table) so each arm is a direct call the optimizer inlines into the
-  /// sender hot loop. The adapter arm dereferences to the base class,
+  /// sender hot loop. The test-double arm dereferences to the base class,
   /// which keeps its virtual dispatch. Defined before all uses: the
   /// deduced (decltype(auto)) return type must be resolvable at each call.
   template <typename F>
@@ -84,8 +82,8 @@ class CcVariant {
   explicit CcVariant(Copa cc) : v_(std::move(cc)) {}
   explicit CcVariant(Vivace cc) : v_(std::move(cc)) {}
   explicit CcVariant(Vegas cc) : v_(std::move(cc)) {}
-  /// Virtual-dispatch adapter: wraps any CongestionControl (custom or
-  /// scripted test doubles) at the old indirect-call cost.
+  /// Test-double seam: wraps any CongestionControl (e.g. a scripted one)
+  /// behind virtual dispatch.
   explicit CcVariant(std::unique_ptr<CongestionControl> cc)
       : v_(std::move(cc)) {}
 
@@ -130,8 +128,8 @@ class CcVariant {
   }
 };
 
-/// Creates a devirtualized (by-value) CC instance of the given kind, with
-/// the exact same configuration mapping as make_congestion_control.
+/// Creates a by-value CC instance of the given kind — the one factory
+/// every simulation uses (CcConfig -> per-algorithm config mapping).
 [[nodiscard]] CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg);
 
 }  // namespace bbrnash

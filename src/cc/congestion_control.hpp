@@ -106,8 +106,4 @@ struct CcConfig {
   double bbr_cwnd_gain = 2.0;
 };
 
-/// Creates a congestion control instance of the given kind.
-std::unique_ptr<CongestionControl> make_congestion_control(CcKind kind,
-                                                           const CcConfig& cfg);
-
 }  // namespace bbrnash

@@ -1,12 +1,4 @@
-#include "cc/bbr.hpp"
-#include "cc/bbrv2.hpp"
 #include "cc/cc_variant.hpp"
-#include "cc/congestion_control.hpp"
-#include "cc/copa.hpp"
-#include "cc/cubic.hpp"
-#include "cc/reno.hpp"
-#include "cc/vegas.hpp"
-#include "cc/vivace.hpp"
 
 #include <stdexcept>
 
@@ -32,107 +24,57 @@ const char* to_string(CcKind kind) {
   return "unknown";
 }
 
-namespace {
-
-// The single source for CcConfig -> per-algorithm config mapping, shared
-// by the virtual and variant factories so the two dispatch paths can
-// never drift apart.
-
-CubicConfig cubic_config(const CcConfig& cfg) {
-  CubicConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  return c;
-}
-
-RenoConfig reno_config(const CcConfig& cfg) {
-  RenoConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  return c;
-}
-
-BbrConfig bbr_config(const CcConfig& cfg) {
-  BbrConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  c.min_pipe_cwnd = 4 * cfg.mss;
-  c.seed = cfg.seed;
-  c.cwnd_gain = cfg.bbr_cwnd_gain;
-  return c;
-}
-
-BbrV2Config bbrv2_config(const CcConfig& cfg) {
-  BbrV2Config c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  c.min_pipe_cwnd = 4 * cfg.mss;
-  c.seed = cfg.seed;
-  c.cwnd_gain = cfg.bbr_cwnd_gain;
-  return c;
-}
-
-CopaConfig copa_config(const CcConfig& cfg) {
-  CopaConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  c.min_cwnd = 4 * cfg.mss;
-  return c;
-}
-
-VivaceConfig vivace_config(const CcConfig& cfg) {
-  VivaceConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  return c;
-}
-
-VegasConfig vegas_config(const CcConfig& cfg) {
-  VegasConfig c;
-  c.mss = cfg.mss;
-  c.initial_cwnd = cfg.initial_cwnd;
-  return c;
-}
-
-}  // namespace
-
-std::unique_ptr<CongestionControl> make_congestion_control(CcKind kind,
-                                                           const CcConfig& cfg) {
-  switch (kind) {
-    case CcKind::kCubic:
-      return std::make_unique<Cubic>(cubic_config(cfg));
-    case CcKind::kReno:
-      return std::make_unique<Reno>(reno_config(cfg));
-    case CcKind::kBbr:
-      return std::make_unique<Bbr>(bbr_config(cfg));
-    case CcKind::kBbrV2:
-      return std::make_unique<BbrV2>(bbrv2_config(cfg));
-    case CcKind::kCopa:
-      return std::make_unique<Copa>(copa_config(cfg));
-    case CcKind::kVivace:
-      return std::make_unique<Vivace>(vivace_config(cfg));
-    case CcKind::kVegas:
-      return std::make_unique<Vegas>(vegas_config(cfg));
-  }
-  throw std::invalid_argument{"unknown congestion control kind"};
-}
-
 CcVariant make_cc_variant(CcKind kind, const CcConfig& cfg) {
   switch (kind) {
-    case CcKind::kCubic:
-      return CcVariant{Cubic{cubic_config(cfg)}};
-    case CcKind::kReno:
-      return CcVariant{Reno{reno_config(cfg)}};
-    case CcKind::kBbr:
-      return CcVariant{Bbr{bbr_config(cfg)}};
-    case CcKind::kBbrV2:
-      return CcVariant{BbrV2{bbrv2_config(cfg)}};
-    case CcKind::kCopa:
-      return CcVariant{Copa{copa_config(cfg)}};
-    case CcKind::kVivace:
-      return CcVariant{Vivace{vivace_config(cfg)}};
-    case CcKind::kVegas:
-      return CcVariant{Vegas{vegas_config(cfg)}};
+    case CcKind::kCubic: {
+      CubicConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      return CcVariant{Cubic{c}};
+    }
+    case CcKind::kReno: {
+      RenoConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      return CcVariant{Reno{c}};
+    }
+    case CcKind::kBbr: {
+      BbrConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      c.min_pipe_cwnd = 4 * cfg.mss;
+      c.seed = cfg.seed;
+      c.cwnd_gain = cfg.bbr_cwnd_gain;
+      return CcVariant{Bbr{c}};
+    }
+    case CcKind::kBbrV2: {
+      BbrV2Config c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      c.min_pipe_cwnd = 4 * cfg.mss;
+      c.seed = cfg.seed;
+      c.cwnd_gain = cfg.bbr_cwnd_gain;
+      return CcVariant{BbrV2{c}};
+    }
+    case CcKind::kCopa: {
+      CopaConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      c.min_cwnd = 4 * cfg.mss;
+      return CcVariant{Copa{c}};
+    }
+    case CcKind::kVivace: {
+      VivaceConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      return CcVariant{Vivace{c}};
+    }
+    case CcKind::kVegas: {
+      VegasConfig c;
+      c.mss = cfg.mss;
+      c.initial_cwnd = cfg.initial_cwnd;
+      return CcVariant{Vegas{c}};
+    }
   }
   throw std::invalid_argument{"unknown congestion control kind"};
 }

@@ -112,10 +112,14 @@ std::optional<MixKeyAxes> query_key_axes(const OracleQuery& q,
   return axes;
 }
 
+namespace {
+
+/// The closed-form (tier 2b) answer: Mishra sync/desync midpoint per-flow
+/// and aggregate rates, buffer occupancies from the same solution, queue
+/// delay from the model's full-buffer assumption. nullopt outside the
+/// validity domain.
 std::optional<MixOutcome> model_only_outcome(const NetworkParams& net,
-                                             int num_cubic, int num_bbr,
-                                             double duration_sec) {
-  (void)duration_sec;  // reserved for a future Ware-weighted blend
+                                             int num_cubic, int num_bbr) {
   if (num_cubic < 1 || num_bbr < 1) return std::nullopt;
   const auto iv = prediction_interval(net, num_cubic, num_bbr);
   if (!iv) return std::nullopt;
@@ -144,8 +148,6 @@ std::optional<MixOutcome> model_only_outcome(const NetworkParams& net,
   // on the 0/0 signature to tell a model answer from an empirical one.
   return m;
 }
-
-namespace {
 
 /// True when the closed forms describe this cell: a BBR challenger on a
 /// pristine constant-rate path (the model's assumptions).
@@ -453,8 +455,7 @@ OracleAnswer PayoffOracle::answer_without_compute(const OracleQuery& q,
   OracleAnswer ans;
   ans.key = oracle_key(q);
   if (cfg_.allow_model && model_applies(q)) {
-    const auto m = model_only_outcome(q.net, q.num_cubic, q.num_other,
-                                      to_sec(q.trial.duration));
+    const auto m = model_only_outcome(q.net, q.num_cubic, q.num_other);
     if (m) {
       ans.status = OracleStatus::kOk;
       ans.fidelity = OracleFidelity::kModelOnly;

@@ -242,13 +242,4 @@ class PayoffOracle {
   OracleStats stats_;
 };
 
-/// The closed-form (tier 2b) answer: Mishra sync/desync midpoint per-flow
-/// and aggregate rates, buffer occupancies from the same solution, queue
-/// delay from the model's full-buffer assumption. nullopt outside the
-/// validity domain. Exposed so the differential suite can pin the exact
-/// arithmetic the oracle serves.
-[[nodiscard]] std::optional<MixOutcome> model_only_outcome(
-    const NetworkParams& net, int num_cubic, int num_bbr,
-    double duration_sec);
-
 }  // namespace bbrnash

@@ -94,13 +94,6 @@ struct Scenario {
   /// zero-allocation hot path untouched.
   AuditConfig audit;
 
-  /// Test-only: construct senders through the virtual-dispatch
-  /// CongestionControl adapter instead of the devirtualized CcVariant hot
-  /// path. The two are bit-identical by construction (same algorithm code,
-  /// same factory config mapping); the jobs x dispatch equivalence suite
-  /// pins that claim by running both and comparing RunOutcomes.
-  bool virtual_cc_dispatch = false;
-
   [[nodiscard]] int count(CcKind kind) const {
     int n = 0;
     for (const auto& f : flows) n += (f.cc == kind) ? 1 : 0;

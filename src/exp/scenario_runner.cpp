@@ -12,18 +12,12 @@
 #include <utility>
 #include <vector>
 
-#include "cc/cc_variant.hpp"
 #include "exp/chaos.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/aqm.hpp"
+#include "exp/dumbbell.hpp"
 #include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "net/impairment.hpp"
 #include "sim/audit.hpp"
 #include "sim/flight_recorder.hpp"
 #include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace bbrnash {
 
@@ -154,23 +148,6 @@ Scenario make_mix_scenario(const NetworkParams& net, int num_cubic,
 
 namespace {
 
-/// A packet plus its bottleneck sojourn, travelling the forward delay line.
-struct Delivery {
-  Packet pkt;
-  TimeNs sojourn;
-};
-
-/// Stateless seed mixer (SplitMix64 finalizer) for per-flow impairment
-/// streams. Deliberately NOT drawn from the scenario's root Rng: a pristine
-/// scenario must stay byte-identical to one where the impairment layer
-/// does not exist at all.
-std::uint64_t impairment_seed(std::uint64_t seed, std::uint64_t stream) {
-  std::uint64_t z = seed + stream * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 std::string format_bytes_violation(const char* what, double got,
                                    double bound) {
   char buf[160];
@@ -195,7 +172,6 @@ ExecOutcome execute_scenario(const Scenario& scenario,
                              ChaosInjector* chaos, FlightRecorder* recorder) {
   const auto n = static_cast<std::uint32_t>(scenario.flows.size());
   Simulator sim;
-  Rng rng{scenario.seed};
 
   ExecOutcome out;
 
@@ -206,7 +182,6 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     audit = std::make_unique<ConservationAudit>(scenario.audit, n);
   }
   ConservationAudit* audit_p = audit.get();
-  const bool instrumented = audit_p != nullptr || recorder != nullptr;
 
   // Chaos: forced trial exception / event-loop stall / wall stall, planned
   // up front so the fault schedule is a pure function of (chaos seed,
@@ -249,20 +224,8 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  BottleneckLink link{sim, scenario.capacity, scenario.buffer_bytes, n};
-  switch (scenario.aqm) {
-    case AqmKind::kDropTail:
-      break;
-    case AqmKind::kRed: {
-      RedConfig red;
-      red.seed = scenario.seed ^ 0x9E3779B97F4A7C15ULL;
-      link.set_aqm(std::make_unique<RedPolicy>(red));
-      break;
-    }
-    case AqmKind::kCoDel:
-      link.set_aqm(std::make_unique<CoDelPolicy>());
-      break;
-  }
+  Dumbbell net{sim, scenario, audit_p, recorder};
+  BottleneckLink& link = net.link();
 
   // Bottleneck rate schedule (link flaps / capacity steps).
   for (const RateChange& c : scenario.capacity_schedule) {
@@ -277,182 +240,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     }
   }
 
-  std::vector<std::unique_ptr<Sender>> senders;
-  std::vector<std::unique_ptr<Receiver>> receivers;
-  std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd_lines;
-  std::vector<std::unique_ptr<DelayLine<Ack>>> rev_lines;
-  senders.reserve(n);
-  receivers.reserve(n);
-  fwd_lines.reserve(n);
-  rev_lines.reserve(n);
-
-  // Impairment stages (created only for impaired paths so the pristine
-  // configuration is exactly the pre-impairment-layer simulation).
-  std::vector<std::unique_ptr<ImpairmentStage<Packet>>> data_stages(n);
-  std::vector<std::unique_ptr<ImpairmentStage<Ack>>> ack_stages(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const ImpairmentConfig& data_cfg =
-        scenario.flows[i].impairments ? *scenario.flows[i].impairments
-                                      : scenario.impairments;
-    if (data_cfg.any()) {
-      data_stages[i] = std::make_unique<ImpairmentStage<Packet>>(
-          sim, data_cfg, impairment_seed(scenario.seed, 2ULL * i + 1));
-      data_stages[i]->set_sink([&link](const Packet& pkt) { link.send(pkt); });
-    }
-    if (scenario.ack_impairments.any()) {
-      ack_stages[i] = std::make_unique<ImpairmentStage<Ack>>(
-          sim, scenario.ack_impairments,
-          impairment_seed(scenario.seed, 2ULL * i + 2));
-    }
-  }
-
-  // Per-flow access-path state (see Scenario::access_jitter).
-  struct AccessPath {
-    Rng rng;
-    TimeNs jitter = 1;
-    TimeNs last_arrival = 0;
-  };
-  std::vector<AccessPath> access(n);
-  const TimeNs default_jitter = serialization_time(
-      scenario.mss + kHeaderBytes, scenario.capacity);
-  for (auto& a : access) {
-    a.rng = rng.fork();
-    a.jitter = std::max<TimeNs>(
-        1, scenario.access_jitter >= 0 ? scenario.access_jitter
-                                       : default_jitter);
-  }
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const FlowSpec& spec = scenario.flows[i];
-    const TimeNs one_way = spec.base_rtt / 2;
-
-    receivers.push_back(std::make_unique<Receiver>(i));
-    fwd_lines.push_back(std::make_unique<DelayLine<Delivery>>(sim, one_way));
-    rev_lines.push_back(
-        std::make_unique<DelayLine<Ack>>(sim, spec.base_rtt - one_way));
-
-    CcConfig cc_cfg;
-    cc_cfg.mss = scenario.mss;
-    cc_cfg.initial_cwnd = 10 * scenario.mss;
-    cc_cfg.seed = rng.next_u64();
-    cc_cfg.bbr_cwnd_gain = scenario.bbr_cwnd_gain;
-    CcVariant cc = scenario.virtual_cc_dispatch
-                       ? CcVariant{make_congestion_control(spec.cc, cc_cfg)}
-                       : make_cc_variant(spec.cc, cc_cfg);
-
-    SenderConfig snd_cfg;
-    snd_cfg.mss = scenario.mss;
-    snd_cfg.transfer_bytes = spec.transfer_bytes;
-    ImpairmentStage<Packet>* data_stage = data_stages[i].get();
-    if (instrumented) {
-      // Audit/recorder wrapper: identical transmit logic plus the ledger's
-      // independent injection count and the flight-recorder note. Installed
-      // as a *separate* lambda so the uninstrumented path pays nothing.
-      senders.push_back(std::make_unique<Sender>(
-          sim, i, snd_cfg, std::move(cc),
-          [&sim, &link, &access, data_stage, audit_p, recorder,
-           i](const Packet& pkt) {
-            if (audit_p != nullptr) audit_p->note_injected(i);
-            if (recorder != nullptr) {
-              recorder->note(sim.now(), FlightEventKind::kInject, i, pkt.seq,
-                             pkt.is_retransmit ? 1 : 0);
-            }
-            access[i].last_arrival = std::max(
-                access[i].last_arrival + 1,
-                sim.now() + static_cast<TimeNs>(access[i].rng.next_below(
-                                static_cast<std::uint64_t>(access[i].jitter))));
-            sim.schedule_at(access[i].last_arrival,
-                            [&link, data_stage, audit_p, i, pkt] {
-                              if (audit_p != nullptr) {
-                                audit_p->note_access_exit(i);
-                              }
-                              if (data_stage != nullptr) {
-                                data_stage->send(pkt);
-                              } else {
-                                link.send(pkt);
-                              }
-                            });
-          }));
-    } else {
-      senders.push_back(std::make_unique<Sender>(
-          sim, i, snd_cfg, std::move(cc),
-          [&sim, &link, &access, data_stage, i](const Packet& pkt) {
-            // Access-path jitter with a monotonicity guard so a flow's own
-            // packets are never reordered (deliberate reordering is the
-            // impairment stage's job).
-            access[i].last_arrival = std::max(
-                access[i].last_arrival + 1,
-                sim.now() + static_cast<TimeNs>(access[i].rng.next_below(
-                                static_cast<std::uint64_t>(access[i].jitter))));
-            sim.schedule_at(access[i].last_arrival, [&link, data_stage, pkt] {
-              if (data_stage != nullptr) {
-                data_stage->send(pkt);
-              } else {
-                link.send(pkt);
-              }
-            });
-          }));
-    }
-
-    // Bottleneck exit -> forward propagation -> receiver.
-    if (recorder != nullptr) {
-      fwd_lines[i]->set_sink([&receivers, &sim, recorder, i](const Delivery& d) {
-        recorder->note(sim.now(), FlightEventKind::kDeliver, i, d.pkt.seq);
-        receivers[i]->on_packet(d.pkt, d.sojourn);
-      });
-    } else {
-      fwd_lines[i]->set_sink([&receivers, i](const Delivery& d) {
-        receivers[i]->on_packet(d.pkt, d.sojourn);
-      });
-    }
-    // Receiver -> (ACK impairments) -> reverse propagation -> sender.
-    if (ack_stages[i] != nullptr) {
-      ack_stages[i]->set_sink(
-          [&rev_lines, i](const Ack& ack) { rev_lines[i]->send(ack); });
-      ImpairmentStage<Ack>* ack_stage = ack_stages[i].get();
-      receivers[i]->set_ack_sink(
-          [ack_stage](const Ack& ack) { ack_stage->send(ack); });
-    } else {
-      receivers[i]->set_ack_sink(
-          [&rev_lines, i](const Ack& ack) { rev_lines[i]->send(ack); });
-    }
-    rev_lines[i]->set_sink(
-        [&senders, i](const Ack& ack) { senders[i]->on_ack(ack); });
-  }
-
-  link.set_sink([&sim, &fwd_lines](const Packet& pkt) {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim.now() - pkt.enqueued_at;
-    fwd_lines[pkt.flow]->send(Delivery{pkt, sojourn});
-  });
-  if (recorder != nullptr) {
-    link.set_drop_hook([&sim, recorder](const Packet& pkt) {
-      recorder->note(sim.now(), FlightEventKind::kQueueDrop, pkt.flow,
-                     pkt.seq);
-    });
-  }
-
-  // Group instrumentation: aggregate CUBIC occupancy drives the model's
-  // b_cmin / b_cmax validation, aggregate non-CUBIC occupancy is b_b.
-  std::vector<FlowId> cubic_ids;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (scenario.flows[i].cc == CcKind::kCubic) cubic_ids.push_back(i);
-  }
-  if (!cubic_ids.empty()) link.queue().track_group(cubic_ids);
-
-  // Start flows: explicit start times win; otherwise a deterministic
-  // jitter decorrelates the slow starts.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const TimeNs jitter =
-        scenario.start_jitter > 0
-            ? static_cast<TimeNs>(rng.next_below(
-                  static_cast<std::uint64_t>(scenario.start_jitter)))
-            : 0;
-    const TimeNs at = scenario.flows[i].start_at != kTimeNone
-                          ? scenario.flows[i].start_at
-                          : jitter;
-    senders[i]->start(at);
-  }
+  net.start();
 
   // Telemetry sampling.
   if (scenario.sample_period > 0 && scenario.on_sample) {
@@ -468,14 +256,14 @@ ExecOutcome execute_scenario(const Scenario& scenario,
         for (std::uint32_t i = 0; i < n; ++i) {
           FlowSnapshot fs;
           fs.cc = scenario.flows[i].cc;
-          fs.cwnd = senders[i]->cc().cwnd();
-          fs.pacing_rate = senders[i]->cc().pacing_rate();
-          fs.inflight = senders[i]->inflight_bytes();
-          fs.delivered = senders[i]->delivered_bytes();
+          fs.cwnd = net.sender(i).cc().cwnd();
+          fs.pacing_rate = net.sender(i).cc().pacing_rate();
+          fs.inflight = net.sender(i).inflight_bytes();
+          fs.delivered = net.sender(i).delivered_bytes();
           fs.queue_bytes = link.queue().flow_occupancy(i);
-          fs.retransmits = senders[i]->retransmit_count();
-          fs.rtos = senders[i]->rto_count();
-          fs.smoothed_rtt = senders[i]->smoothed_rtt();
+          fs.retransmits = net.sender(i).retransmit_count();
+          fs.rtos = net.sender(i).rto_count();
+          fs.smoothed_rtt = net.sender(i).smoothed_rtt();
           snap.flows.push_back(fs);
         }
         scenario.on_sample(snap);
@@ -501,33 +289,33 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           f = FlowAuditSample{};
           f.injected = audit_p->injected(i);
           f.access_pending = audit_p->access_pending(i);
-          if (data_stages[i] != nullptr) {
-            const ImpairmentCounters& c = data_stages[i]->counters();
+          if (const auto* stage = net.data_stage(i)) {
+            const ImpairmentCounters& c = stage->counters();
             f.stage_dropped = c.dropped;
             f.stage_duplicated = c.duplicated;
-            f.stage_pending = data_stages[i]->pending();
+            f.stage_pending = stage->pending();
           }
           f.queue_packets = link.queue().flow_packets(i);
           f.queue_dropped = link.queue().drops(i);
-          f.fwd_pending = fwd_lines[i]->pending();
-          f.delivered = receivers[i]->packets_received();
-          f.acks_emitted = receivers[i]->packets_received();
-          if (ack_stages[i] != nullptr) {
-            const ImpairmentCounters& c = ack_stages[i]->counters();
+          f.fwd_pending = net.fwd_line(i).pending();
+          f.delivered = net.receiver(i).packets_received();
+          f.acks_emitted = net.receiver(i).packets_received();
+          if (const auto* stage = net.ack_stage(i)) {
+            const ImpairmentCounters& c = stage->counters();
             f.ack_stage_dropped = c.dropped;
             f.ack_stage_duplicated = c.duplicated;
-            f.ack_stage_pending = ack_stages[i]->pending();
+            f.ack_stage_pending = stage->pending();
           }
-          f.rev_pending = rev_lines[i]->pending();
-          f.acks_received = senders[i]->acks_received();
-          f.cwnd = senders[i]->cc().cwnd();
-          f.pacing_rate = senders[i]->cc().pacing_rate();
-          f.srtt = senders[i]->smoothed_rtt();
+          f.rev_pending = net.rev_line(i).pending();
+          f.acks_received = net.sender(i).acks_received();
+          f.cwnd = net.sender(i).cc().cwnd();
+          f.pacing_rate = net.sender(i).cc().pacing_rate();
+          f.srtt = net.sender(i).smoothed_rtt();
           f.base_rtt = scenario.flows[i].base_rtt;
-          f.cum_next = receivers[i]->cumulative_next();
-          f.delivered_bytes = senders[i]->delivered_bytes();
-          f.retransmits = senders[i]->retransmit_count();
-          f.rtos = senders[i]->rto_count();
+          f.cum_next = net.receiver(i).cumulative_next();
+          f.delivered_bytes = net.sender(i).delivered_bytes();
+          f.retransmits = net.sender(i).retransmit_count();
+          f.rtos = net.sender(i).rto_count();
           flow_bytes_sum += link.queue().flow_occupancy(i);
           if (recorder != nullptr) {
             recorder->note(t, FlightEventKind::kCcSnapshot, i,
@@ -555,7 +343,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   Bytes served_at_warmup = 0;
   sim.schedule_at(scenario.warmup, [&] {
     link.queue().begin_measurement(sim.now());
-    for (auto& s : senders) s->begin_measurement();
+    for (std::uint32_t i = 0; i < n; ++i) net.sender(i).begin_measurement();
     served_at_warmup = link.bytes_served();
   });
 
@@ -619,7 +407,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
     fr.cc = scenario.flows[i].cc;
     fr.base_rtt = scenario.flows[i].base_rtt;
 
-    const Sender& s = *senders[i];
+    const Sender& s = net.sender(i);
     FlowStats st;
     st.goodput_bps =
         window_sec > 0.0
@@ -651,7 +439,7 @@ ExecOutcome execute_scenario(const Scenario& scenario,
           : 0.0;
   res.total_drops = link.queue().total_drops();
 
-  if (!cubic_ids.empty()) {
+  if (scenario.count(CcKind::kCubic) > 0) {
     res.cubic_buffer_avg = link.queue().group_avg_occupancy();
     res.cubic_buffer_min = link.queue().group_min_occupancy();
     res.cubic_buffer_max = link.queue().group_max_occupancy();
@@ -665,15 +453,15 @@ ExecOutcome execute_scenario(const Scenario& scenario,
   res.noncubic_buffer_avg = noncubic_avg;
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (data_stages[i] != nullptr) {
-      const ImpairmentCounters& c = data_stages[i]->counters();
+    if (const auto* stage = net.data_stage(i)) {
+      const ImpairmentCounters& c = stage->counters();
       res.data_impairments.offered += c.offered;
       res.data_impairments.dropped += c.dropped;
       res.data_impairments.duplicated += c.duplicated;
       res.data_impairments.reordered += c.reordered;
     }
-    if (ack_stages[i] != nullptr) {
-      const ImpairmentCounters& c = ack_stages[i]->counters();
+    if (const auto* stage = net.ack_stage(i)) {
+      const ImpairmentCounters& c = stage->counters();
       res.ack_impairments.offered += c.offered;
       res.ack_impairments.dropped += c.dropped;
       res.ack_impairments.duplicated += c.duplicated;

@@ -1,16 +1,11 @@
 // ScenarioRunner: wires a Scenario into a live dumbbell simulation and
 // extracts a RunResult.
 //
-// Topology per flow i (base RTT r_i):
-//
-//   Sender_i --(instant)--> [BottleneckLink: rate C, drop-tail buffer B]
-//            --(serialize)--> DelayLine fwd (r_i/2) --> Receiver_i
-//   Receiver_i --ACK--> DelayLine rev (r_i/2) --> Sender_i
-//
-// All of a flow's propagation delay is split across the two delay lines, so
-// the base (congestion-free) RTT is exactly r_i and every queueing byte
-// adds sojourn time at the shared bottleneck — the configuration the
-// paper's model describes (Fig. 2).
+// The topology itself (senders, access jitter, impairment stages, the
+// bottleneck, delay lines, receivers) is built by Dumbbell — see
+// exp/dumbbell.hpp for the per-flow diagram. This file adds the run
+// around it: chaos, the capacity schedule, telemetry and audit sampling,
+// the warm-up mark, the watchdog-sliced loop, and result extraction.
 #pragma once
 
 #include "exp/run_outcome.hpp"

@@ -5,15 +5,6 @@
 
 namespace bbrnash {
 
-namespace {
-
-CcVariant adapt(std::unique_ptr<CongestionControl> cc) {
-  assert(cc && "sender requires a congestion control instance");
-  return CcVariant{std::move(cc)};
-}
-
-}  // namespace
-
 Sender::Sender(Simulator& sim, FlowId flow, SenderConfig cfg, CcVariant cc,
                TransmitFn transmit)
     : sim_(sim),
@@ -21,10 +12,6 @@ Sender::Sender(Simulator& sim, FlowId flow, SenderConfig cfg, CcVariant cc,
       cfg_(cfg),
       cc_(std::move(cc)),
       transmit_(std::move(transmit)) {}
-
-Sender::Sender(Simulator& sim, FlowId flow, SenderConfig cfg,
-               std::unique_ptr<CongestionControl> cc, TransmitFn transmit)
-    : Sender(sim, flow, cfg, adapt(std::move(cc)), std::move(transmit)) {}
 
 void Sender::start(TimeNs at) {
   assert(!started_);

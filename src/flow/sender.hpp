@@ -17,7 +17,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "cc/cc_variant.hpp"
 #include "cc/congestion_control.hpp"
@@ -55,15 +54,10 @@ class Sender {
   /// like a real endpoint.
   using TransmitFn = std::function<void(const Packet&)>;
 
-  /// Hot-path constructor: the CC is held by value inside the variant, so
-  /// its callbacks inline into the transport loop (see cc_variant.hpp).
+  /// The CC is held by value inside the variant, so its callbacks inline
+  /// into the transport loop (see cc_variant.hpp).
   Sender(Simulator& sim, FlowId flow, SenderConfig cfg, CcVariant cc,
          TransmitFn transmit);
-
-  /// Virtual-dispatch adapter for tests, examples, and custom algorithms:
-  /// identical behaviour at the old indirect-call cost.
-  Sender(Simulator& sim, FlowId flow, SenderConfig cfg,
-         std::unique_ptr<CongestionControl> cc, TransmitFn transmit);
 
   Sender(const Sender&) = delete;
   Sender& operator=(const Sender&) = delete;

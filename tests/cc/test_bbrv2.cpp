@@ -2,19 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/bbr.hpp"
-#include "cc/cubic.hpp"
 #include "helpers/loopback.hpp"
 
 namespace bbrnash {
 namespace {
 
 using bbrnash::testing::Loopback;
+using bbrnash::testing::loopback;
 
-std::unique_ptr<CongestionControl> make_v2(std::size_t) {
-  BbrV2Config cfg;
-  cfg.seed = 42;
-  return std::make_unique<BbrV2>(cfg);
+/// `flows` BBRv2 flows through 20 Mbps / 40 ms and a `buffer_bdps`-BDP
+/// buffer.
+Scenario path(std::size_t flows, int buffer_bdps = 4) {
+  return loopback(mbps(20), buffer_bdps * bdp_bytes(mbps(20), from_ms(40)),
+                  from_ms(40), std::vector<CcKind>(flows, CcKind::kBbrV2));
 }
 
 const BbrV2& as_v2(const CongestionControl& cc) {
@@ -22,20 +22,16 @@ const BbrV2& as_v2(const CongestionControl& cc) {
 }
 
 TEST(BbrV2, FillsAnEmptyLink) {
-  Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              make_v2};
-  lb.start_all();
-  lb.sim().run_until(from_sec(10));
+  Loopback lb{path(1)};
+  lb.sim.run_until(from_sec(10));
   const double goodput =
-      to_mbps(static_cast<double>(lb.sender(0).delivered_bytes()) / 10.0);
+      to_mbps(static_cast<double>(lb.net.sender(0).delivered_bytes()) / 10.0);
   EXPECT_GT(goodput, 17.0);
 }
 
 TEST(BbrV2, ReachesProbeBw) {
-  Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              make_v2};
-  lb.start_all();
-  lb.sim().run_until(from_sec(5));
+  Loopback lb{path(1)};
+  lb.sim.run_until(from_sec(5));
   EXPECT_EQ(as_v2(lb.cc(0)).state(), BbrV2::State::kProbeBw);
 }
 
@@ -78,22 +74,12 @@ TEST(BbrV2, LessAggressiveThanV1AgainstCubic) {
   // 1 CUBIC + 1 BBRv2, then 1 CUBIC + 1 BBRv1: CUBIC must keep more
   // bandwidth against v2 (the paper's Fig. 11 premise).
   const auto run = [](bool v2_flag) {
-    Loopback lb{
-        mbps(20), 3 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 2,
-        [&](std::size_t i) -> std::unique_ptr<CongestionControl> {
-          if (i == 0) return std::make_unique<Cubic>();
-          if (v2_flag) {
-            BbrV2Config c;
-            c.seed = 7;
-            return std::make_unique<BbrV2>(c);
-          }
-          BbrConfig c;
-          c.seed = 7;
-          return std::make_unique<Bbr>(c);
-        }};
-    lb.start_all();
-    lb.sim().run_until(from_sec(40));
-    return static_cast<double>(lb.sender(0).delivered_bytes());
+    Loopback lb{loopback(mbps(20), 3 * bdp_bytes(mbps(20), from_ms(40)),
+                         from_ms(40),
+                         {CcKind::kCubic,
+                          v2_flag ? CcKind::kBbrV2 : CcKind::kBbr})};
+    lb.sim.run_until(from_sec(40));
+    return static_cast<double>(lb.net.sender(0).delivered_bytes());
   };
   const double cubic_vs_v2 = run(true);
   const double cubic_vs_v1 = run(false);

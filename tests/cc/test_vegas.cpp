@@ -2,46 +2,44 @@
 
 #include <gtest/gtest.h>
 
-#include "cc/reno.hpp"
+#include "cc/cc_variant.hpp"
 #include "helpers/loopback.hpp"
 
 namespace bbrnash {
 namespace {
 
 using bbrnash::testing::Loopback;
+using bbrnash::testing::loopback;
 
-std::unique_ptr<CongestionControl> make_vegas(std::size_t) {
-  return std::make_unique<Vegas>();
+/// `flows` Vegas flows through 20 Mbps / 40 ms and a `buffer_bdps`-BDP
+/// buffer.
+Scenario path(std::size_t flows, int buffer_bdps = 4) {
+  return loopback(mbps(20), buffer_bdps * bdp_bytes(mbps(20), from_ms(40)),
+                  from_ms(40), std::vector<CcKind>(flows, CcKind::kVegas));
 }
 
 TEST(Vegas, FillsAnEmptyLink) {
-  Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              make_vegas};
-  lb.start_all();
-  lb.sim().run_until(from_sec(15));
+  Loopback lb{path(1)};
+  lb.sim.run_until(from_sec(15));
   const double goodput =
-      to_mbps(static_cast<double>(lb.sender(0).delivered_bytes()) / 15.0);
+      to_mbps(static_cast<double>(lb.net.sender(0).delivered_bytes()) / 15.0);
   EXPECT_GT(goodput, 16.0);
 }
 
 TEST(Vegas, HoldsTinyStandingQueue) {
-  Loopback lb{mbps(20), 10 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              make_vegas};
-  lb.start_all();
-  lb.sim().schedule_at(from_sec(8), [&] {
-    lb.link().queue().begin_measurement(lb.sim().now());
+  Loopback lb{path(1, 10)};
+  lb.sim.schedule_at(from_sec(8), [&] {
+    lb.net.link().queue().begin_measurement(lb.sim.now());
   });
-  lb.sim().run_until(from_sec(18));
-  lb.link().queue().finalize(lb.sim().now());
+  lb.sim.run_until(from_sec(18));
+  lb.net.link().queue().finalize(lb.sim.now());
   // alpha..beta of 2..4 packets: average well under 10 packets.
-  EXPECT_LT(lb.link().queue().avg_occupied_bytes(), 10.0 * 1500.0);
+  EXPECT_LT(lb.net.link().queue().avg_occupied_bytes(), 10.0 * 1500.0);
 }
 
 TEST(Vegas, BaseRttLearned) {
-  Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 1,
-              make_vegas};
-  lb.start_all();
-  lb.sim().run_until(from_sec(5));
+  Loopback lb{path(1)};
+  lb.sim.run_until(from_sec(5));
   const auto& vegas = dynamic_cast<const Vegas&>(lb.cc(0));
   EXPECT_NEAR(to_ms(vegas.base_rtt()), 40.0, 2.0);
 }
@@ -49,15 +47,11 @@ TEST(Vegas, BaseRttLearned) {
 TEST(Vegas, CedesToReno) {
   // The classic result the related-work games rest on: loss-based Reno
   // starves delay-based Vegas in a shared drop-tail queue.
-  Loopback lb{mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)), from_ms(40), 2,
-              [](std::size_t i) -> std::unique_ptr<CongestionControl> {
-                if (i == 0) return std::make_unique<Reno>();
-                return std::make_unique<Vegas>();
-              }};
-  lb.start_all();
-  lb.sim().run_until(from_sec(30));
-  const auto reno = static_cast<double>(lb.sender(0).delivered_bytes());
-  const auto vegas = static_cast<double>(lb.sender(1).delivered_bytes());
+  Loopback lb{loopback(mbps(20), 4 * bdp_bytes(mbps(20), from_ms(40)),
+                       from_ms(40), {CcKind::kReno, CcKind::kVegas})};
+  lb.sim.run_until(from_sec(30));
+  const auto reno = static_cast<double>(lb.net.sender(0).delivered_bytes());
+  const auto vegas = static_cast<double>(lb.net.sender(1).delivered_bytes());
   EXPECT_GT(reno, 1.5 * vegas);
 }
 
@@ -99,8 +93,8 @@ TEST(Vegas, RtoRestartsSlowStart) {
 }
 
 TEST(Vegas, FactoryCreatesIt) {
-  const auto cc = make_congestion_control(CcKind::kVegas, CcConfig{});
-  EXPECT_EQ(cc->name(), "vegas");
+  const CcVariant cc = make_cc_variant(CcKind::kVegas, CcConfig{});
+  EXPECT_EQ(cc.base().name(), "vegas");
   EXPECT_STREQ(to_string(CcKind::kVegas), "vegas");
 }
 

@@ -8,34 +8,34 @@ namespace bbrnash {
 namespace {
 
 using bbrnash::testing::Loopback;
+using bbrnash::testing::loopback;
 
-std::unique_ptr<CongestionControl> make_vivace(std::size_t) {
-  return std::make_unique<Vivace>();
+/// `flows` Vivace flows through 50 Mbps / 40 ms and a `buffer_bdps`-BDP
+/// buffer.
+Scenario path(std::size_t flows, int buffer_bdps = 2) {
+  return loopback(mbps(50), buffer_bdps * bdp_bytes(mbps(50), from_ms(40)),
+                  from_ms(40), std::vector<CcKind>(flows, CcKind::kVivace));
 }
 
 TEST(Vivace, RampsToLinkRateAlone) {
-  Loopback lb{mbps(50), 2 * bdp_bytes(mbps(50), from_ms(40)), from_ms(40), 1,
-              make_vivace};
-  lb.start_all();
-  lb.sim().run_until(from_sec(20));
-  const Bytes at_20s = lb.sender(0).delivered_bytes();
-  lb.sim().run_until(from_sec(30));
+  Loopback lb{path(1)};
+  lb.sim.run_until(from_sec(20));
+  const Bytes at_20s = lb.net.sender(0).delivered_bytes();
+  lb.sim.run_until(from_sec(30));
   const double goodput =
-      to_mbps(static_cast<double>(lb.sender(0).delivered_bytes() - at_20s) /
+      to_mbps(static_cast<double>(lb.net.sender(0).delivered_bytes() - at_20s) /
               10.0);
   EXPECT_GT(goodput, 40.0);
 }
 
 TEST(Vivace, TwoFlowsShareReasonably) {
-  Loopback lb{mbps(50), 2 * bdp_bytes(mbps(50), from_ms(40)), from_ms(40), 2,
-              make_vivace};
-  lb.start_all();
-  lb.sim().run_until(from_sec(15));
-  const Bytes a0 = lb.sender(0).delivered_bytes();
-  const Bytes b0 = lb.sender(1).delivered_bytes();
-  lb.sim().run_until(from_sec(45));
-  const auto a = static_cast<double>(lb.sender(0).delivered_bytes() - a0);
-  const auto b = static_cast<double>(lb.sender(1).delivered_bytes() - b0);
+  Loopback lb{path(2)};
+  lb.sim.run_until(from_sec(15));
+  const Bytes a0 = lb.net.sender(0).delivered_bytes();
+  const Bytes b0 = lb.net.sender(1).delivered_bytes();
+  lb.sim.run_until(from_sec(45));
+  const auto a = static_cast<double>(lb.net.sender(0).delivered_bytes() - a0);
+  const auto b = static_cast<double>(lb.net.sender(1).delivered_bytes() - b0);
   const double share = a / (a + b);
   EXPECT_GT(share, 0.2);
   EXPECT_LT(share, 0.8);
@@ -63,12 +63,10 @@ TEST(Vivace, PacingFollowsRate) {
 }
 
 TEST(Vivace, UtilizationHighUnderSelfCompetition) {
-  Loopback lb{mbps(50), 2 * bdp_bytes(mbps(50), from_ms(40)), from_ms(40), 3,
-              make_vivace};
-  lb.start_all();
-  lb.sim().run_until(from_sec(30));
+  Loopback lb{path(3)};
+  lb.sim.run_until(from_sec(30));
   Bytes total = 0;
-  for (int i = 0; i < 3; ++i) total += lb.sender(i).delivered_bytes();
+  for (int i = 0; i < 3; ++i) total += lb.net.sender(i).delivered_bytes();
   // >= 70% of the link over the whole run including convergence.
   EXPECT_GT(static_cast<double>(total), 0.7 * mbps(50) * 30.0);
 }

@@ -48,7 +48,7 @@ struct Harness {
     auto cc_owned = std::make_unique<ScriptedCc>();
     cc = cc_owned.get();
     sender = std::make_unique<Sender>(
-        sim, 0, cfg, std::move(cc_owned),
+        sim, 0, cfg, CcVariant{std::move(cc_owned)},
         [this](const Packet& p) { wire.push_back(p); });
   }
 

@@ -1,80 +1,43 @@
-// Test helper: a minimal single- or multi-flow dumbbell that exposes the
-// live congestion-control objects for introspection while the simulation
-// runs — used by the CC state-machine tests.
+// Test helper: a Scenario preset over the production dumbbell
+// (exp/dumbbell.hpp) for the CC state-machine tests, which introspect the
+// live congestion-control objects while the simulation runs.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "cc/congestion_control.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "sim/simulator.hpp"
+#include "exp/dumbbell.hpp"
 
 namespace bbrnash::testing {
 
-class Loopback {
- public:
-  /// `make_cc(i)` builds the congestion control for flow i.
-  Loopback(BytesPerSec capacity, Bytes buffer_bytes, TimeNs rtt,
-           std::size_t flows,
-           const std::function<std::unique_ptr<CongestionControl>(std::size_t)>&
-               make_cc)
-      : link_(sim_, capacity, buffer_bytes,
-              static_cast<std::uint32_t>(flows)) {
-    endpoints_.reserve(flows);
-    for (std::size_t i = 0; i < flows; ++i) {
-      auto ep = std::make_unique<Endpoint>();
-      ep->receiver = std::make_unique<Receiver>(static_cast<FlowId>(i));
-      ep->fwd = std::make_unique<DelayLine<Packet>>(sim_, rtt / 2);
-      ep->rev = std::make_unique<DelayLine<Ack>>(sim_, rtt - rtt / 2);
-      ep->sender = std::make_unique<Sender>(
-          sim_, static_cast<FlowId>(i), SenderConfig{}, make_cc(i),
-          [this](const Packet& p) { link_.send(p); });
-      Endpoint* raw = ep.get();
-      ep->fwd->set_sink(
-          [raw](const Packet& p) { raw->receiver->on_packet(p, 0); });
-      ep->receiver->set_ack_sink([raw](const Ack& a) { raw->rev->send(a); });
-      ep->rev->set_sink([raw](const Ack& a) { raw->sender->on_ack(a); });
-      endpoints_.push_back(std::move(ep));
-    }
-    link_.set_sink([this](const Packet& p) {
-      endpoints_[p.flow]->fwd->send(p);
-    });
+/// One flow per entry of `ccs`, all at base RTT `rtt`, starting together
+/// at t = 0 with no access jitter.
+inline Scenario loopback(BytesPerSec capacity, Bytes buffer_bytes, TimeNs rtt,
+                         const std::vector<CcKind>& ccs) {
+  Scenario s;
+  s.capacity = capacity;
+  s.buffer_bytes = buffer_bytes;
+  for (const CcKind cc : ccs) {
+    s.flows.push_back({.cc = cc, .base_rtt = rtt, .start_at = 0});
+  }
+  s.access_jitter = 0;
+  return s;
+}
+
+/// A started simulation of `scenario`.
+struct Loopback {
+  explicit Loopback(const Scenario& scenario)
+      : net(sim, scenario, nullptr, nullptr) {
+    net.start();
+  }
+  const CongestionControl& cc(std::uint32_t i) { return net.sender(i).cc(); }
+  /// Runs `fn` every `period` until `until`.
+  template <typename Fn>
+  void sample(TimeNs period, TimeNs until, Fn fn) {
+    for (TimeNs t = period; t <= until; t += period) sim.schedule_at(t, fn);
   }
 
-  void start_all() {
-    for (auto& ep : endpoints_) ep->sender->start(0);
-  }
-
-  Simulator& sim() { return sim_; }
-  BottleneckLink& link() { return link_; }
-  Sender& sender(std::size_t i) { return *endpoints_.at(i)->sender; }
-  CongestionControl& cc(std::size_t i) {
-    return endpoints_.at(i)->sender->cc();
-  }
-
-  /// Samples `fn` every `period` until `until`.
-  void sample(TimeNs period, TimeNs until, std::function<void()> fn) {
-    for (TimeNs t = period; t <= until; t += period) {
-      sim_.schedule_at(t, fn);
-    }
-  }
-
- private:
-  struct Endpoint {
-    std::unique_ptr<Sender> sender;
-    std::unique_ptr<Receiver> receiver;
-    std::unique_ptr<DelayLine<Packet>> fwd;
-    std::unique_ptr<DelayLine<Ack>> rev;
-  };
-
-  Simulator sim_;
-  BottleneckLink link_;
-  std::vector<std::unique_ptr<Endpoint>> endpoints_;
+  Simulator sim;
+  Dumbbell net;
 };
 
 }  // namespace bbrnash::testing

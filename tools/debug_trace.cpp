@@ -1,18 +1,13 @@
 // Developer tool: trace per-second state of a 1v1 CUBIC/BBR run.
 // Not part of the shipped benches; used to validate CC dynamics.
+//
+//   debug_trace [cap_mbps=50] [rtt_ms=40] [buf_bdp=4] [dur_s=40]
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "cc/bbr.hpp"
-#include "cc/cubic.hpp"
 #include "exp/cli_flags.hpp"
-#include "flow/receiver.hpp"
-#include "flow/sender.hpp"
-#include "net/bottleneck_link.hpp"
-#include "net/delay_line.hpp"
-#include "sim/simulator.hpp"
+#include "exp/dumbbell.hpp"
 
 using namespace bbrnash;
 
@@ -24,41 +19,23 @@ int main(int argc, char** argv) try {
       argc > 3 ? parse_double_strict("buf_bdp", argv[3]) : 4.0;
   const double dur_s = argc > 4 ? parse_double_strict("dur_s", argv[4]) : 40.0;
 
-  Simulator sim;
-  const BytesPerSec cap = mbps(cap_mbps);
+  Scenario sc;
+  sc.capacity = mbps(cap_mbps);
+  sc.buffer_bytes = static_cast<Bytes>(buf_bdp * sc.capacity * rtt_ms / 1e3);
   const TimeNs rtt = from_ms(rtt_ms);
-  const auto buffer = static_cast<Bytes>(buf_bdp * cap * to_sec(rtt));
-  BottleneckLink link{sim, cap, buffer, 2};
+  sc.flows = {{.cc = CcKind::kCubic, .base_rtt = rtt, .start_at = 0},
+              {.cc = CcKind::kBbr, .base_rtt = rtt, .start_at = from_ms(50)}};
+  sc.duration = from_sec(dur_s) + 1;
+  sc.warmup = 0;
+  sc.validate();
 
-  struct Endpoint {
-    std::unique_ptr<Sender> snd;
-    std::unique_ptr<Receiver> rcv;
-    std::unique_ptr<DelayLine<Packet>> fwd;
-    std::unique_ptr<DelayLine<Ack>> rev;
-  };
-  std::vector<Endpoint> eps(2);
-
-  for (FlowId i = 0; i < 2; ++i) {
-    auto& ep = eps[i];
-    ep.rcv = std::make_unique<Receiver>(i);
-    ep.fwd = std::make_unique<DelayLine<Packet>>(sim, rtt / 2);
-    ep.rev = std::make_unique<DelayLine<Ack>>(sim, rtt / 2);
-    std::unique_ptr<CongestionControl> cc;
-    if (i == 0) {
-      cc = std::make_unique<Cubic>();
-    } else {
-      cc = std::make_unique<Bbr>();
-    }
-    ep.snd = std::make_unique<Sender>(sim, i, SenderConfig{}, std::move(cc),
-                                      [&link](const Packet& p) { link.send(p); });
-    ep.fwd->set_sink([&eps, i](const Packet& p) { eps[i].rcv->on_packet(p, 0); });
-    ep.rcv->set_ack_sink([&eps, i](const Ack& a) { eps[i].rev->send(a); });
-    ep.rev->set_sink([&eps, i](const Ack& a) { eps[i].snd->on_ack(a); });
-  }
-  link.set_sink([&eps](const Packet& p) { eps[p.flow].fwd->send(p); });
-
-  eps[0].snd->start(0);
-  eps[1].snd->start(from_ms(50));
+  Simulator sim;
+  Dumbbell net{sim, sc, nullptr, nullptr};
+  net.start();
+  const Sender& cubic = net.sender(0);
+  const Sender& bbr_snd = net.sender(1);
+  const auto& bbr = dynamic_cast<const Bbr&>(bbr_snd.cc());
+  const DropTailQueue& queue = net.link().queue();
 
   std::printf(
       "t cubic_mbps bbr_mbps cubic_cwnd_pk bbr_cwnd_pk bbr_state bbr_btlbw "
@@ -66,32 +43,30 @@ int main(int argc, char** argv) try {
   Bytes last_del[2] = {0, 0};
   for (double t = 1.0; t <= dur_s; t += 1.0) {
     sim.schedule_at(from_sec(t), [&, t] {
-      const auto* bbr = dynamic_cast<const Bbr*>(&eps[1].snd->cc());
       const char* st = "?";
-      switch (bbr->state()) {
+      switch (bbr.state()) {
         case Bbr::State::kStartup: st = "STARTUP"; break;
         case Bbr::State::kDrain: st = "DRAIN"; break;
         case Bbr::State::kProbeBw: st = "PROBEBW"; break;
         case Bbr::State::kProbeRtt: st = "PROBERTT"; break;
       }
-      const double d0 = to_mbps(static_cast<double>(eps[0].snd->delivered_bytes() - last_del[0]));
-      const double d1 = to_mbps(static_cast<double>(eps[1].snd->delivered_bytes() - last_del[1]));
-      last_del[0] = eps[0].snd->delivered_bytes();
-      last_del[1] = eps[1].snd->delivered_bytes();
+      const double d0 = to_mbps(static_cast<double>(cubic.delivered_bytes() - last_del[0]));
+      const double d1 = to_mbps(static_cast<double>(bbr_snd.delivered_bytes() - last_del[1]));
+      last_del[0] = cubic.delivered_bytes();
+      last_del[1] = bbr_snd.delivered_bytes();
       std::printf(
           "%5.0f %7.2f %7.2f %7ld %7ld %-8s %7.2f %7.2f %5.1f %8ld %8ld %5lu %5lu %3lu %3lu\n",
-          t, d0, d1, eps[0].snd->cc().cwnd() / kDefaultMss,
-          eps[1].snd->cc().cwnd() / kDefaultMss, st, to_mbps(bbr->btlbw()),
-          to_ms(bbr->rtprop()),
-          100.0 * static_cast<double>(link.queue().occupied_bytes()) /
-              static_cast<double>(buffer),
-          link.queue().flow_occupancy(0) / 1500,
-          link.queue().flow_occupancy(1) / 1500,
-          eps[0].snd->retransmit_count(), eps[1].snd->retransmit_count(),
-          eps[0].snd->rto_count(), eps[1].snd->rto_count());
+          t, d0, d1, cubic.cc().cwnd() / kDefaultMss,
+          bbr.cwnd() / kDefaultMss, st, to_mbps(bbr.btlbw()),
+          to_ms(bbr.rtprop()),
+          100.0 * static_cast<double>(queue.occupied_bytes()) /
+              static_cast<double>(sc.buffer_bytes),
+          queue.flow_occupancy(0) / 1500, queue.flow_occupancy(1) / 1500,
+          cubic.retransmit_count(), bbr_snd.retransmit_count(),
+          cubic.rto_count(), bbr_snd.rto_count());
     });
   }
-  sim.run_until(from_sec(dur_s) + 1);
+  sim.run_until(sc.duration);
   return 0;
 } catch (const std::invalid_argument& e) {
   std::fprintf(stderr, "debug_trace: invalid configuration: %s\n", e.what());
