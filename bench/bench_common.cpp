@@ -19,8 +19,7 @@ namespace {
   std::fprintf(stderr,
                "%s\nusage: %s [--csv] [--seed N] "
                "[--fidelity quick|default|full] [--jobs N] [--audit] "
-               "[--chaos SEED] [--checkpoint PATH] [--workers N] "
-               "[--lease-ms MS] [--max-worker-retries N] [--fabric-stats]\n",
+               "[--chaos SEED] [--checkpoint PATH]\n",
                complaint, prog);
   std::exit(2);
 }
@@ -68,17 +67,6 @@ BenchOptions parse_options(int argc, char** argv) {
       } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
         // Parsed by the bench itself from the raw argv; skip the value.
         (void)value_of(argc, argv, i, prog);
-      } else if (std::strcmp(argv[i], "--workers") == 0) {
-        opts.workers =
-            parse_int_strict("--workers", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--lease-ms") == 0) {
-        opts.lease_ms =
-            parse_double_strict("--lease-ms", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--max-worker-retries") == 0) {
-        opts.max_worker_retries = parse_int_strict(
-            "--max-worker-retries", value_of(argc, argv, i, prog));
-      } else if (std::strcmp(argv[i], "--fabric-stats") == 0) {
-        opts.fabric_stats = true;
       } else {
         const std::string msg = std::string{"unknown flag '"} + argv[i] + "'";
         usage_exit(prog, msg.c_str());
@@ -130,37 +118,6 @@ void for_each_cell(const BenchOptions& opts, std::size_t n,
 void print_parallel_summary(const BenchOptions& opts) {
   if (opts.csv) return;
   std::printf("### %s\n", describe(parallel_telemetry()).c_str());
-}
-
-FabricConfig fabric_config(const BenchOptions& opts) {
-  FabricConfig fab;
-  fab.workers = opts.workers;
-  fab.lease_ms = opts.lease_ms;
-  fab.max_worker_retries = opts.max_worker_retries;
-  if (opts.chaos) {
-    fab.chaos = std::make_shared<ChaosInjector>(opts.chaos_seed);
-  }
-  return fab;
-}
-
-void print_fabric_summary(const BenchOptions& opts, const FabricStats& stats) {
-  if (!opts.csv) {
-    std::printf(
-        "### fabric: %d workers, %llu/%llu cells committed "
-        "(%llu resumed, %llu reassigned, %llu deaths, %llu hangs), "
-        "%.1f cells/s\n",
-        static_cast<int>(stats.workers.size()),
-        static_cast<unsigned long long>(stats.cells_committed),
-        static_cast<unsigned long long>(stats.cells_total),
-        static_cast<unsigned long long>(stats.cells_from_checkpoint),
-        static_cast<unsigned long long>(stats.cells_reassigned),
-        static_cast<unsigned long long>(stats.worker_deaths),
-        static_cast<unsigned long long>(stats.worker_hangs),
-        stats.cells_per_second);
-  }
-  if (opts.fabric_stats) {
-    std::printf("%s\n", fabric_stats_to_record(stats).encode().c_str());
-  }
 }
 
 }  // namespace bbrnash::bench

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/fabric.hpp"
 #include "exp/fidelity.hpp"
 #include "exp/sweeps.hpp"
 #include "util/table.hpp"
@@ -15,8 +14,7 @@ namespace bbrnash::bench {
 
 /// Parsed command line common to all benches:
 ///   [--csv] [--seed N] [--fidelity quick|default|full] [--jobs N]
-///   [--audit] [--chaos SEED] [--workers N] [--lease-ms MS]
-///   [--max-worker-retries N] [--fabric-stats]
+///   [--audit] [--chaos SEED]
 struct BenchOptions {
   bool csv = false;
   std::uint64_t seed = 1;
@@ -31,13 +29,6 @@ struct BenchOptions {
   /// is retried with the same trial seed, so figures stay bit-identical.
   bool chaos = false;
   std::uint64_t chaos_seed = 0;
-  /// Fabric mode (--workers N, N >= 1): shard sweep cells across forked
-  /// worker processes (exp/fabric.hpp) instead of in-process threads.
-  /// 0 = in-process (the default). Output is bit-identical either way.
-  int workers = 0;
-  double lease_ms = 2000.0;      ///< --lease-ms: heartbeat deadline
-  int max_worker_retries = 3;    ///< --max-worker-retries: per-cell budget
-  bool fabric_stats = false;     ///< --fabric-stats: JSON stats record
 };
 
 /// Strict parser: an unknown flag or malformed value prints a diagnosis
@@ -64,14 +55,5 @@ void for_each_cell(const BenchOptions& opts, std::size_t n,
 
 /// Prints the per-run parallel telemetry footer (suppressed under --csv).
 void print_parallel_summary(const BenchOptions& opts);
-
-/// FabricConfig mirroring the fabric-mode flags (workers, lease, retry
-/// budget, chaos injector). Meaningful when opts.workers >= 1.
-FabricConfig fabric_config(const BenchOptions& opts);
-
-/// Prints the fabric footer: a human summary line, plus the
-/// bbrnash-fabric-stats-v1 JSON record when --fabric-stats was given
-/// (the record prints even under --csv; the summary line does not).
-void print_fabric_summary(const BenchOptions& opts, const FabricStats& stats);
 
 }  // namespace bbrnash::bench

@@ -38,13 +38,10 @@ Panel make_panel(const BenchOptions& opts, int total_flows, double buffer_bdp) {
   return panel;
 }
 
-// Finishes one panel whose in-process simulations already committed into
-// panel.rows (under --workers N the panel's cells run on the fabric here
-// instead), then reduces the table rows and trend statistics in k order:
-// byte-identical for every --jobs, and for every fabric claim/crash
-// schedule.
-void finish_panel(const BenchOptions& opts, Panel& panel,
-                  const TrialConfig& trial) {
+// Finishes one panel whose simulations already committed into panel.rows:
+// reduces the table rows and trend statistics in k order, so the output is
+// byte-identical for every --jobs.
+void finish_panel(const BenchOptions& opts, Panel& panel) {
   Table table({"num_bbr", "sync_bound_mbps", "desync_bound_mbps",
                "sim_bbr_mbps", "fair_share_mbps"});
   const int total_flows = panel.total_flows;
@@ -53,23 +50,6 @@ void finish_panel(const BenchOptions& opts, Panel& panel,
   const NetworkParams net = make_params(100.0, 40.0, panel.buffer_bdp);
   const double fair = to_mbps(net.capacity) / total_flows;
 
-  if (opts.workers >= 1) {
-    std::vector<FabricCell> cells;
-    cells.reserve(ks.size());
-    for (const int k : ks) cells.push_back(FabricCell{total_flows - k, k});
-    const FabricOutcome out = run_fabric_cells(net, cells, CcKind::kBbr,
-                                               trial, fabric_config(opts));
-    if (!out.complete()) {
-      std::fprintf(stderr, "fabric: %s: %s\n", to_string(out.status),
-                   out.message.c_str());
-    }
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      if (out.cells[i].has_value()) {
-        rows[i].sim = out.cells[i]->per_flow_other_mbps;
-      }
-    }
-    print_fabric_summary(opts, out.stats);
-  }
   for (std::size_t i = 0; i < ks.size(); ++i) {
     const int nc = total_flows - ks[i];
     Row& r = rows[i];
@@ -133,26 +113,24 @@ int main(int argc, char** argv) {
       make_panel(opts, 10, 10.0), make_panel(opts, 20, 10.0)};
   const TrialConfig trial = trial_config(opts);
 
-  // In-process, the cells of all four panels run in one parallel region
-  // over a panel-major flat index, each committing into its panel's slot.
-  if (opts.workers < 1) {
-    std::vector<std::pair<std::size_t, std::size_t>> cells;  // (panel, k slot)
-    for (std::size_t p = 0; p < panels.size(); ++p) {
-      for (std::size_t i = 0; i < panels[p].ks.size(); ++i) {
-        cells.emplace_back(p, i);
-      }
+  // The cells of all four panels run in one parallel region over a
+  // panel-major flat index, each committing into its panel's slot.
+  std::vector<std::pair<std::size_t, std::size_t>> cells;  // (panel, k slot)
+  for (std::size_t p = 0; p < panels.size(); ++p) {
+    for (std::size_t i = 0; i < panels[p].ks.size(); ++i) {
+      cells.emplace_back(p, i);
     }
-    for_each_cell(opts, cells.size(), [&](std::size_t c) {
-      Panel& panel = panels[cells[c].first];
-      const std::size_t i = cells[c].second;
-      const int k = panel.ks[i];
-      const NetworkParams net = make_params(100.0, 40.0, panel.buffer_bdp);
-      const MixOutcome sim = run_mix_trials(net, panel.total_flows - k, k,
-                                            CcKind::kBbr, trial);
-      panel.rows[i].sim = sim.per_flow_other_mbps;
-    });
   }
-  for (Panel& panel : panels) finish_panel(opts, panel, trial);
+  for_each_cell(opts, cells.size(), [&](std::size_t c) {
+    Panel& panel = panels[cells[c].first];
+    const std::size_t i = cells[c].second;
+    const int k = panel.ks[i];
+    const NetworkParams net = make_params(100.0, 40.0, panel.buffer_bdp);
+    const MixOutcome sim = run_mix_trials(net, panel.total_flows - k, k,
+                                          CcKind::kBbr, trial);
+    panel.rows[i].sim = sim.per_flow_other_mbps;
+  });
+  for (Panel& panel : panels) finish_panel(opts, panel);
   print_parallel_summary(opts);
   return 0;
 }

@@ -41,12 +41,6 @@ const char* to_string(ChaosClass cls) {
       return "checkpoint-torn";
     case ChaosClass::kNeCell:
       return "ne-cell";
-    case ChaosClass::kWorkerKill:
-      return "worker-kill";
-    case ChaosClass::kWorkerHang:
-      return "worker-hang";
-    case ChaosClass::kSupervisorCrash:
-      return "supervisor-crash";
   }
   return "unknown";
 }

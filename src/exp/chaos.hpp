@@ -39,14 +39,6 @@ enum class ChaosClass : std::uint8_t {
   kCheckpointWriteFail, ///< drop one checkpoint append on the floor
   kCheckpointTorn,      ///< write one checkpoint record torn mid-line
   kNeCell,              ///< fail one NE-search payoff cell transiently
-  // Process-level classes (exp/fabric.hpp). The fabric SUPERVISOR owns the
-  // injector and arms faults when it assigns a cell, so the fire-once
-  // bookkeeping spans reassignments: a cell killed once is not re-killed by
-  // the fresh worker process (whose own injector would re-derive the same
-  // hash but has no shared fired-set).
-  kWorkerKill,          ///< SIGKILL a fabric worker mid-cell
-  kWorkerHang,          ///< stall a worker's heartbeat past the lease deadline
-  kSupervisorCrash,     ///< crash the fabric supervisor before a commit
 };
 
 [[nodiscard]] const char* to_string(ChaosClass cls);

@@ -109,21 +109,6 @@ class CheckpointLog {
 [[nodiscard]] JsonlRecord mix_to_record(const MixOutcome& m);
 [[nodiscard]] MixOutcome mix_from_record(const JsonlRecord& rec);
 
-// --- Fabric lease records (exp/fabric.hpp) -------------------------------
-//
-// The multi-process sweep fabric coordinates workers through the SAME log:
-// a cell's lease lifecycle (claim -> heartbeat -> expired/commit) is
-// recorded under the derived key "lease <cell key>", so lease records and
-// result records share the append-only file, last-write-wins replay, and
-// torn-line recovery without colliding — a lease key can never equal a
-// mix_checkpoint_key (which always starts with "mix").
-
-/// Key under which a cell's lease state is recorded.
-[[nodiscard]] std::string lease_key(const std::string& cell_key);
-/// True for keys produced by lease_key — lets summaries and resume logic
-/// separate lease bookkeeping from measurement records.
-[[nodiscard]] bool is_lease_key(const std::string& key);
-
 /// run_mix_trials with lookup-before-run and record-after-run; a null log
 /// degenerates to a plain run_mix_trials call.
 [[nodiscard]] MixOutcome run_mix_trials_checkpointed(

@@ -87,7 +87,7 @@ Dumbbell::Dumbbell(Simulator& sim, const Scenario& scenario,
     const TimeNs one_way = spec.base_rtt / 2;
 
     receivers_.push_back(std::make_unique<Receiver>(i));
-    fwd_lines_.push_back(std::make_unique<DelayLine<Delivery>>(sim_, one_way));
+    fwd_lines_.push_back(std::make_unique<DelayLine<Packet>>(sim_, one_way));
     rev_lines_.push_back(
         std::make_unique<DelayLine<Ack>>(sim_, spec.base_rtt - one_way));
 
@@ -154,13 +154,13 @@ Dumbbell::Dumbbell(Simulator& sim, const Scenario& scenario,
     // Bottleneck exit -> forward propagation -> receiver.
     if (recorder != nullptr) {
       fwd_lines_[i]->set_sink([&receivers = receivers_, &sim = sim_, recorder,
-                               i](const Delivery& d) {
-        recorder->note(sim.now(), FlightEventKind::kDeliver, i, d.pkt.seq);
-        receivers[i]->on_packet(d.pkt, d.sojourn);
+                               i](const Packet& pkt) {
+        recorder->note(sim.now(), FlightEventKind::kDeliver, i, pkt.seq);
+        receivers[i]->on_packet(pkt);
       });
     } else {
-      fwd_lines_[i]->set_sink([&receivers = receivers_, i](const Delivery& d) {
-        receivers[i]->on_packet(d.pkt, d.sojourn);
+      fwd_lines_[i]->set_sink([&receivers = receivers_, i](const Packet& pkt) {
+        receivers[i]->on_packet(pkt);
       });
     }
     // Receiver -> (ACK impairments) -> reverse propagation -> sender.
@@ -181,10 +181,8 @@ Dumbbell::Dumbbell(Simulator& sim, const Scenario& scenario,
     });
   }
 
-  link_.set_sink([&sim = sim_, &fwd_lines = fwd_lines_](const Packet& pkt) {
-    const TimeNs sojourn =
-        pkt.enqueued_at == kTimeNone ? 0 : sim.now() - pkt.enqueued_at;
-    fwd_lines[pkt.flow]->send(Delivery{pkt, sojourn});
+  link_.set_sink([&fwd_lines = fwd_lines_](const Packet& pkt) {
+    fwd_lines[pkt.flow]->send(pkt);
   });
   if (recorder != nullptr) {
     link_.set_drop_hook([&sim = sim_, recorder](const Packet& pkt) {

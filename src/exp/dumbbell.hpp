@@ -15,7 +15,7 @@
 // propagation delay is split across the two delay lines, so the base
 // (congestion-free) RTT is exactly r_i and every queued byte adds sojourn
 // time at the shared bottleneck — the configuration the paper's model
-// describes (Fig. 2). The receiver sees each packet's bottleneck sojourn.
+// describes (Fig. 2).
 //
 // run_scenario builds every simulation through this class; the zero-alloc
 // tests, the simulator-core bench, the CC state-machine tests and
@@ -38,12 +38,6 @@
 #include "util/rng.hpp"
 
 namespace bbrnash {
-
-/// A packet plus its bottleneck sojourn, travelling the forward delay line.
-struct Delivery {
-  Packet pkt;
-  TimeNs sojourn;
-};
 
 class Dumbbell {
  public:
@@ -86,7 +80,7 @@ class Dumbbell {
   [[nodiscard]] const ImpairmentStage<Ack>* ack_stage(std::uint32_t i) const {
     return ack_stages_[i].get();
   }
-  [[nodiscard]] const DelayLine<Delivery>& fwd_line(std::uint32_t i) const {
+  [[nodiscard]] const DelayLine<Packet>& fwd_line(std::uint32_t i) const {
     return *fwd_lines_[i];
   }
   [[nodiscard]] const DelayLine<Ack>& rev_line(std::uint32_t i) const {
@@ -105,7 +99,7 @@ class Dumbbell {
   BottleneckLink link_;
   std::vector<std::unique_ptr<Sender>> senders_;
   std::vector<std::unique_ptr<Receiver>> receivers_;
-  std::vector<std::unique_ptr<DelayLine<Delivery>>> fwd_lines_;
+  std::vector<std::unique_ptr<DelayLine<Packet>>> fwd_lines_;
   std::vector<std::unique_ptr<DelayLine<Ack>>> rev_lines_;
   std::vector<std::unique_ptr<ImpairmentStage<Packet>>> data_stages_;
   std::vector<std::unique_ptr<ImpairmentStage<Ack>>> ack_stages_;

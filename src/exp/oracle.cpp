@@ -39,7 +39,7 @@ std::string oracle_key(const OracleQuery& q) {
 }
 
 std::optional<MixKeyAxes> parse_mix_key_axes(const std::string& key) {
-  if (key.rfind("mix ", 0) != 0 || is_lease_key(key)) return std::nullopt;
+  if (key.rfind("mix ", 0) != 0) return std::nullopt;
   MixKeyAxes axes;
   axes.base.reserve(key.size());
   axes.base = "mix";
@@ -185,8 +185,8 @@ void PayoffOracle::hydrate_file(const std::string& path, bool warn_on_skip) {
   std::uint64_t loaded = 0;
   for (const JsonlRecord& rec : records) {
     const std::string key = rec.get_string("key");
-    // Lease bookkeeping and foreign records never become answers.
-    if (key.rfind("mix", 0) != 0 || is_lease_key(key)) continue;
+    // Records that are not mix cells never become answers.
+    if (key.rfind("mix", 0) != 0) continue;
     insert_locked(key, mix_from_record(rec));
     ++loaded;
   }

@@ -7,10 +7,10 @@
 // through a three-tier path, cheapest first:
 //
 //   1. exact        the canonical cell key (mix_checkpoint_key — the SAME
-//                   key the sweeps, fabric and checkpoints use) hits the
+//                   key the sweeps and checkpoints use) hits the
 //                   in-memory memo, hydrated at construction from the
 //                   oracle's own append-only log plus any completed
-//                   checkpoint/fabric JSONL files. Bit-identical to
+//                   sweep checkpoint JSONL files. Bit-identical to
 //                   running run_mix_trials for that cell.
 //   2. interpolated bounded multilinear interpolation over the cached
 //                   neighbours on the (N_c, N_other, buffer) lattice —
@@ -95,15 +95,15 @@ struct OracleQuery {
 };
 
 /// Canonical cell key for a query — mix_checkpoint_key verbatim, so oracle
-/// cache entries, sweep checkpoints and fabric commits all share one key
-/// space (and one %.17g float canonicalization).
+/// cache entries and sweep checkpoints share one key space (and one %.17g
+/// float canonicalization).
 [[nodiscard]] std::string oracle_key(const OracleQuery& q);
 
 /// The (buffer, N_c, N_other) lattice coordinates of a mix cell key plus
 /// the base key (the key with those three fields elided — everything that
 /// must match EXACTLY for two cells to be interpolation neighbours).
-/// nullopt for lease records, corrupt keys, or anything that is not a mix
-/// cell key; the oracle never builds lattice entries from such records.
+/// nullopt for corrupt keys or anything that is not a mix cell key; the
+/// oracle never builds lattice entries from such records.
 struct MixKeyAxes {
   Bytes buffer = 0;
   int num_cubic = 0;
@@ -143,8 +143,8 @@ struct OracleConfig {
   /// The oracle's own append-only `bbrnash-oracle-v1` cache. Empty = pure
   /// in-memory cache (still correct, nothing survives the process).
   std::string cache_path;
-  /// Additional completed checkpoint/fabric logs to hydrate from (read
-  /// only; lease records and torn lines are skipped).
+  /// Additional completed sweep checkpoint logs to hydrate from (read
+  /// only; records that are not mix cells and torn lines are skipped).
   std::vector<std::string> hydrate_paths;
   bool allow_interpolation = true;
   bool allow_model = true;

@@ -35,7 +35,7 @@ class Receiver {
   void reserve_reorder(std::size_t packets) { ooo_.reserve(packets); }
 
   /// Consumes a data packet; emits exactly one ACK.
-  void on_packet(const Packet& pkt, TimeNs queue_delay) {
+  void on_packet(const Packet& pkt) {
     if (pkt.seq == cum_next_) {
       ++cum_next_;
       // Drain buffered packets now in order. The ring's base is pinned at
@@ -58,7 +58,7 @@ class Receiver {
     // sender's bookkeeping converges.
     ++packets_received_;
     if (ack_sink_) {
-      ack_sink_(Ack{flow_, pkt.seq, cum_next_, queue_delay});
+      ack_sink_(Ack{flow_, pkt.seq, cum_next_});
     }
   }
 

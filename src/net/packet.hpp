@@ -35,7 +35,6 @@ struct Ack {
   FlowId flow = 0;
   SeqNo acked_seq = 0;   ///< the packet that triggered this ACK (SACK-like)
   SeqNo cum_ack = 0;     ///< next in-order sequence expected by receiver
-  TimeNs queue_delay_echo = 0;  ///< bottleneck sojourn of the acked packet
 };
 
 }  // namespace bbrnash

@@ -79,7 +79,7 @@ using EventId = std::uint64_t;
 
 /// Inline storage per event payload. Sized for the largest hot-path
 /// callable: a delayed delivery capturing a DelayLine pointer plus a
-/// Packet-with-sojourn payload (8 + 56 bytes).
+/// Packet payload (8 + 48 bytes), rounded up to a 64-byte slot.
 inline constexpr std::size_t kEventInlineBytes = 64;
 
 class EventQueue {

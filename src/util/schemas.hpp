@@ -2,11 +2,11 @@
 //
 // Every JSONL record stream and JSON report this codebase writes carries a
 // `bbrnash-<stream>-vN` tag so readers can reject records they do not
-// understand (the fabric skips foreign checkpoint lines, the bench
-// baselines refuse to compare across format bumps). Those tags used to be hand-duplicated
-// string literals in every writer — exactly the drift surface a
-// reproducibility claim cannot afford: a reader and writer disagreeing by
-// one character silently partitions the data instead of failing loudly.
+// understand (the bench baselines refuse to compare across format bumps).
+// Those tags used to be hand-duplicated string literals in every writer —
+// exactly the drift surface a reproducibility claim cannot afford: a reader
+// and writer disagreeing by one character silently partitions the data
+// instead of failing loudly.
 //
 // This header is the only place a schema string may be spelled. The lint's
 // schema-registry pass (tools/lint/lint_passes.cpp, DESIGN.md §8) enforces
@@ -30,13 +30,6 @@ namespace bbrnash {
 
 /// Flight-recorder ring dumps (src/sim/flight_recorder.cpp).
 inline constexpr std::string_view kSchemaFlight = "bbrnash-flight-v1";
-
-/// Fabric sweep checkpoint records (src/exp/fabric.cpp).
-inline constexpr std::string_view kSchemaFabric = "bbrnash-fabric-v1";
-
-/// Fabric end-of-run stats summary records (src/exp/fabric.cpp).
-inline constexpr std::string_view kSchemaFabricStats =
-    "bbrnash-fabric-stats-v1";
 
 /// Payoff-oracle cache records (src/exp/oracle.cpp).
 inline constexpr std::string_view kSchemaOracle = "bbrnash-oracle-v1";

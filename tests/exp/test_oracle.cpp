@@ -5,7 +5,7 @@
 // approximations (interpolated / model-only). This suite proves that
 // differentially:
 //   * exact answers are bit-identical to a direct run_mix_trials call,
-//     whether computed this process, hydrated from a checkpoint/fabric
+//     whether computed this process, hydrated from a sweep checkpoint
 //     JSONL, or re-served after a kill-and-resume of the cache log;
 //   * the model-only tier reproduces the prediction_interval midpoint
 //     arithmetic bit-for-bit across the golden 1..30 BDP grid;
@@ -21,6 +21,7 @@
 //     multi-threaded query hammer (this file carries the tsan label).
 #include "exp/oracle.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <random>
@@ -33,6 +34,7 @@
 
 #include "exp/checkpoint.hpp"
 #include "exp/cli_flags.hpp"
+#include "exp/nash_search.hpp"
 #include "model/mishra_model.hpp"
 #include "util/jsonl.hpp"
 
@@ -127,8 +129,8 @@ TEST(CanonicalDouble, KeysDistinguishSubByteCapacities) {
 
 TEST(CanonicalDouble, KeyPinnedForReferenceConfig) {
   // The full canonical key for a plain 1v1 cell. This string is shared by
-  // sweeps, fabric leases ("lease " + key) and the oracle cache; changing
-  // it orphans every existing checkpoint, so the change must be deliberate
+  // sweep checkpoints and the oracle cache; changing it orphans every
+  // existing checkpoint, so the change must be deliberate
   // (update this pin AND bump the cache schema note in DESIGN.md).
   const NetworkParams net = make_params(100, 40, 4);
   const std::string key =
@@ -245,7 +247,7 @@ TEST(OracleKey, AxesRoundTripAndGarbageRejected) {
 
   // Corrupt or foreign keys never yield lattice coordinates.
   EXPECT_FALSE(parse_mix_key_axes("nash c=1 b=2").has_value());
-  EXPECT_FALSE(parse_mix_key_axes(lease_key(key)).has_value());
+  EXPECT_FALSE(parse_mix_key_axes("lease " + key).has_value());
   std::string bad = key;
   bad.replace(bad.find("nc=3"), 4, "nc=3x");
   EXPECT_FALSE(parse_mix_key_axes(bad).has_value());
@@ -423,6 +425,43 @@ TEST(OracleExactTier, ColdHydratedAndResumedCachesAgreeEntryForEntry) {
     EXPECT_EQ(a.fidelity, OracleFidelity::kExact);
     expect_same_outcome(a.outcome, cold_snap[0].second);
   }
+}
+
+TEST(OracleExactTier, SweepCheckpointHydratesExactBitIdenticalAnswers) {
+  // A whole payoff sweep (measure_payoffs, k = 0..n) writes its checkpoint;
+  // an oracle hydrated from that log alone answers every cell exactly.
+  const NetworkParams net = make_params(20, 20, 3.0);
+  const int total = 2;
+  NashSearchConfig sweep;
+  sweep.trial = quick_trial();
+  sweep.checkpoint_path = temp_path("oracle_sweep_hydrate.jsonl");
+  std::remove(sweep.checkpoint_path.c_str());
+  (void)measure_payoffs(net, total, sweep);
+
+  OracleConfig cfg;
+  cfg.hydrate_paths = {sweep.checkpoint_path};
+  cfg.no_compute = true;
+  cfg.allow_model = false;
+  PayoffOracle oracle{cfg};
+  EXPECT_EQ(oracle.stats().hydrated_cells, std::uint64_t{total + 1});
+  for (int k = 0; k <= total; ++k) {
+    OracleQuery q;
+    q.net = net;
+    q.num_cubic = total - k;
+    q.num_other = k;
+    q.trial = sweep.trial;
+    const OracleAnswer a = oracle.query(q);
+    ASSERT_TRUE(a.ok()) << "k=" << k << ": " << a.message;
+    EXPECT_EQ(a.fidelity, OracleFidelity::kExact) << "k=" << k;
+    const MixOutcome direct =
+        run_mix_trials(net, total - k, k, CcKind::kBbr, sweep.trial);
+    EXPECT_EQ(mix_to_record(a.outcome).encode(),
+              mix_to_record(direct).encode())
+        << "k=" << k;
+  }
+  const OracleStats stats = oracle.stats();
+  EXPECT_EQ(stats.exact_hits, std::uint64_t{total + 1});
+  EXPECT_EQ(stats.computed, 0u);
 }
 
 // --- interpolated tier ---------------------------------------------------
@@ -641,13 +680,14 @@ TEST(OracleInterpolation, CorruptedRecordsNeverBecomeAnswers) {
     std::ifstream in{clean};
     std::ofstream out{dirty, std::ios::trunc};
     out << in.rdbuf();
-    // Garbage that must be ignored: a lease record, a key with a mangled
+    // Garbage that must be ignored: a lease record (logs written by the
+    // old multi-process sweep interleaved these), a key with a mangled
     // axis, a non-mix key, and a torn line.
     const NetworkParams net = make_params(100, 40, 2);
     const std::string key =
         mix_checkpoint_key(net, 1, 1, CcKind::kBbr, trial);
     JsonlRecord rec = mix_to_record(synth_outcome(9, 9, 999));
-    rec.set("key", lease_key(key));
+    rec.set("key", "lease " + key);
     out << rec.encode() << '\n';
     std::string mangled = key;
     mangled.replace(mangled.find("nc=1"), 4, "nc=1z");

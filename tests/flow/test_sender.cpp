@@ -55,7 +55,7 @@ struct Harness {
   // Delivers an ACK for `seq` with cumulative `cum` at sim-now + delta.
   void ack(SeqNo seq, SeqNo cum, TimeNs at) {
     sim.schedule_at(at, [this, seq, cum] {
-      sender->on_ack(Ack{0, seq, cum, 0});
+      sender->on_ack(Ack{0, seq, cum});
     });
   }
 };

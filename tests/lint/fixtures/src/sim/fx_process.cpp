@@ -1,4 +1,4 @@
-// Fixture: process control outside the fabric's annotated shims.
+// Fixture: process control without an allow annotation.
 #include <unistd.h>
 
 int fx_process() {

@@ -15,10 +15,9 @@
 //                 [--seed N] [--jobs N] [--challenger bbr|bbrv2|...]
 //                 [--tolerance F] [--checkpoint PATH]
 //   bbrnash sweep --capacity 100 --rtt 40 --buffer-bdp 5 --flows-total 20
-//                 [--workers N] [--lease-ms MS] [--max-worker-retries N]
-//                 [--checkpoint PATH] [--fabric-stats] [--trials N]
-//                 [--duration S] [--warmup S] [--seed N] [--jobs N]
-//                 [--challenger CC] [--tolerance F] [--audit] [--chaos SEED]
+//                 [--checkpoint PATH] [--trials N] [--duration S]
+//                 [--warmup S] [--seed N] [--jobs N] [--challenger CC]
+//                 [--tolerance F] [--audit] [--chaos SEED]
 //   bbrnash oracle --capacity 100 --rtt 40 --buffer-bdp 5 --cubic 3 --other 2
 //                 [--challenger CC] [--trials N] [--duration S] [--warmup S]
 //                 [--seed N] [--jobs N] [--cache PATH] [--hydrate P1,P2,...]
@@ -31,20 +30,18 @@
 // kPending under --no-compute. A --batch FILE holds one query per line as
 // `key=value` tokens (same names as the flags, no leading --) overriding
 // the command-line base query.
-// Exit codes mirror sweep: 0 every query answered, 1 hard error, 2 usage,
-// 3 some queries pending/failed.
+// Exit codes: 0 every query answered, 1 hard error, 2 usage, 3 some
+// queries pending/failed.
 //
 // `run` simulates a scenario and prints per-flow results; `model` prints
 // the analytical prediction; `nash` prints the predicted Nash region —
 // with `--empirical` it also runs the crossing search on the simulator
 // (`--jobs N` fans the per-distribution trials out over N worker threads;
 // the result is bit-identical to --jobs 1). `sweep` measures the full
-// payoff grid k = 0..N; with `--workers N` the cells are sharded across N
-// forked worker processes via the crash-tolerant fabric (exp/fabric.hpp),
-// bit-identical to the in-process run. Sweep exit codes: 0 complete,
-// 1 hard error, 2 usage, 3 partial results (some cells failed after
-// retries), 130 interrupted by SIGINT/SIGTERM (resume with the same
-// --checkpoint).
+// payoff grid k = 0..N on `--jobs N` threads; with `--checkpoint PATH` a
+// killed sweep re-run on the same log resumes from its finished cells,
+// bit-identical to an uninterrupted run. Sweep exit codes: 0 complete,
+// 1 hard error (a cell completed zero trials), 2 usage.
 // Unknown flags are rejected with a non-zero exit so a typo'd knob can
 // never silently run the default experiment.
 #include <algorithm>
@@ -64,7 +61,6 @@
 #include "exp/chaos.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/cli_flags.hpp"
-#include "exp/fabric.hpp"
 #include "exp/nash_search.hpp"
 #include "exp/oracle.hpp"
 #include "exp/parallel.hpp"
@@ -83,7 +79,6 @@ struct Args {
   bool csv = false;
   bool empirical = false;
   bool audit = false;
-  bool fabric_stats = false;
   bool no_compute = false;
   bool no_interpolate = false;
   bool no_model = false;
@@ -145,14 +140,11 @@ int usage() {
       "         [--warmup S] [--seed N] [--jobs N] [--challenger CC]\n"
       "         [--tolerance F] [--checkpoint PATH] [--audit] "
       "[--chaos SEED]\n"
-      "  sweep: --flows-total N [--workers N] [--lease-ms MS]\n"
-      "         [--max-worker-retries N] [--checkpoint PATH] "
-      "[--fabric-stats]\n"
-      "         [--trials N] [--duration S] [--warmup S] [--seed N] "
-      "[--jobs N]\n"
-      "         [--challenger CC] [--tolerance F] [--audit] [--chaos SEED]\n"
-      "         exit: 0 complete, 1 error, 2 usage, 3 partial, "
-      "130 interrupted\n"
+      "  sweep: --flows-total N [--checkpoint PATH] [--trials N] "
+      "[--duration S]\n"
+      "         [--warmup S] [--seed N] [--jobs N] [--challenger CC]\n"
+      "         [--tolerance F] [--audit] [--chaos SEED]\n"
+      "         exit: 0 complete, 1 error, 2 usage\n"
       "  oracle: --cubic N --other N [--challenger CC] [--trials N]\n"
       "         [--duration S] [--warmup S] [--seed N] [--jobs N]\n"
       "         [--cache PATH] [--hydrate P1,P2,...] [--batch FILE]\n"
@@ -181,8 +173,7 @@ const std::vector<std::string>& allowed_keys(const std::string& cmd) {
   static const std::vector<std::string> sweep_keys = {
       "capacity", "rtt",  "buffer-bdp", "flows-total", "trials",
       "duration", "warmup", "seed",     "jobs",        "challenger",
-      "tolerance", "checkpoint", "chaos", "workers",   "lease-ms",
-      "max-worker-retries"};
+      "tolerance", "checkpoint", "chaos"};
   static const std::vector<std::string> oracle_keys = {
       "capacity", "rtt",  "buffer-bdp", "cubic",   "other",
       "challenger", "trials", "duration", "warmup", "seed",
@@ -196,8 +187,7 @@ const std::vector<std::string>& allowed_keys(const std::string& cmd) {
   return none;
 }
 
-/// Satellite of the fabric work: a resumed run must never silently absorb
-/// checkpoint corruption. Prints the end-of-run checkpoint summary and a
+/// A resumed run must never silently absorb checkpoint corruption. Prints the end-of-run checkpoint summary and a
 /// distinct warning line when the log had torn/unparseable lines.
 void print_checkpoint_summary(const std::string& path, std::size_t records,
                               std::size_t torn) {
@@ -465,114 +455,43 @@ int cmd_sweep(const Args& args) {
   cfg.tolerance_frac = args.num("tolerance", cfg.tolerance_frac);
   cfg.checkpoint_path = args.str("checkpoint", "");
   cfg.trial.audit.enabled = args.audit;
-  std::shared_ptr<ChaosInjector> chaos;
   if (args.has("chaos")) {
-    chaos = std::make_shared<ChaosInjector>(args.u64("chaos", 0));
+    cfg.trial.guard.chaos =
+        std::make_shared<ChaosInjector>(args.u64("chaos", 0));
   }
 
-  const int workers = args.integer("workers", 0);
-  const auto print_payoffs = [&](const EmpiricalPayoffs& p,
-                                 const std::vector<int>& failed_k) {
-    Table table({"k", "cubic_per_flow_mbps",
-                 std::string{to_string(cfg.challenger)} + "_per_flow_mbps"});
-    for (std::size_t k = 0; k < p.cubic_mbps.size(); ++k) {
-      const bool failed =
-          std::find(failed_k.begin(), failed_k.end(),
-                    static_cast<int>(k)) != failed_k.end();
-      table.add_row({std::to_string(k),
-                     failed ? "failed" : format_double(p.cubic_mbps[k], 3),
-                     failed ? "failed" : format_double(p.other_mbps[k], 3)});
-    }
-    table.print_aligned(std::cout);
-    if (failed_k.empty()) {
-      const double fair_mbps = to_mbps(net.capacity) / total;
-      SymmetricGame game{total, p.cubic_mbps, p.other_mbps};
-      const std::vector<int> ne = game.equilibria(cfg.tolerance_frac * fair_mbps);
-      std::string nes;
-      for (const int k : ne) {
-        if (!nes.empty()) nes += ", ";
-        nes += std::to_string(k);
-      }
-      std::printf("equilibria (k = %s flows on %s)\n", nes.c_str(),
-                  to_string(cfg.challenger));
-    }
-  };
-
-  if (workers <= 0) {
-    // In-process reference path (the fabric's bit-identity baseline).
-    cfg.trial.guard.chaos = chaos;
-    std::size_t torn_lines = 0;
-    if (!cfg.checkpoint_path.empty()) {
-      const CheckpointLog probe{cfg.checkpoint_path};
-      torn_lines = probe.skipped_lines();
-    }
-    const EmpiricalPayoffs p = measure_payoffs(net, total, cfg);
-    print_payoffs(p, {});
-    std::printf("%s\n", describe(parallel_telemetry()).c_str());
-    if (!cfg.checkpoint_path.empty()) {
-      const CheckpointLog done{cfg.checkpoint_path};
-      print_checkpoint_summary(cfg.checkpoint_path, done.size(), torn_lines);
-    }
-    if (chaos) std::fprintf(stderr, "%s\n", chaos->describe().c_str());
-    return 0;
-  }
-
-  FabricConfig fab;
-  fab.workers = workers;
-  fab.lease_ms = args.num("lease-ms", 2000.0);
-  fab.max_worker_retries = args.integer("max-worker-retries", 3);
-  fab.checkpoint_path = cfg.checkpoint_path;
-  fab.chaos = chaos;
-
-  FabricSweepOutcome out = run_fabric_sweep(net, total, cfg, fab);
-  // A chaos'd supervisor crash-before-commit is resumable by construction
-  // (fire-once per commit site): re-run against the same checkpoint until
-  // the drill stops firing. The bound is a backstop, not a retry budget.
-  for (int redo = 0;
-       out.status == FabricStatus::kSupervisorCrashed && redo < 4; ++redo) {
-    std::fprintf(stderr, "bbrnash: %s; resuming\n", out.message.c_str());
-    out = run_fabric_sweep(net, total, cfg, fab);
-  }
-
-  print_payoffs(out.payoffs, out.failed_k);
-  const FabricStats& s = out.stats;
-  std::printf(
-      "fabric: %s — %llu/%llu cells committed (%llu resumed from "
-      "checkpoint, %llu failed), %d workers, %llu deaths, %llu hangs, "
-      "%llu reassignments, %.1f cells/s\n",
-      to_string(out.status),
-      static_cast<unsigned long long>(s.cells_committed),
-      static_cast<unsigned long long>(s.cells_total),
-      static_cast<unsigned long long>(s.cells_from_checkpoint),
-      static_cast<unsigned long long>(s.cells_failed), workers,
-      static_cast<unsigned long long>(s.worker_deaths),
-      static_cast<unsigned long long>(s.worker_hangs),
-      static_cast<unsigned long long>(s.cells_reassigned),
-      s.cells_per_second);
-  if (args.fabric_stats) {
-    std::printf("%s\n", fabric_stats_to_record(s).encode().c_str());
-  }
+  std::size_t torn_lines = 0;
   if (!cfg.checkpoint_path.empty()) {
-    print_checkpoint_summary(cfg.checkpoint_path,
-                             s.cells_from_checkpoint + s.cells_committed,
-                             s.checkpoint_skipped_lines);
+    const CheckpointLog probe{cfg.checkpoint_path};
+    torn_lines = probe.skipped_lines();
   }
-  if (chaos) std::fprintf(stderr, "%s\n", chaos->describe().c_str());
-  if (!out.message.empty()) {
-    std::fprintf(stderr, "bbrnash: %s\n", out.message.c_str());
+  const EmpiricalPayoffs p = measure_payoffs(net, total, cfg);
+  Table table({"k", "cubic_per_flow_mbps",
+               std::string{to_string(cfg.challenger)} + "_per_flow_mbps"});
+  for (std::size_t k = 0; k < p.cubic_mbps.size(); ++k) {
+    table.add_row({std::to_string(k), format_double(p.cubic_mbps[k], 3),
+                   format_double(p.other_mbps[k], 3)});
   }
-
-  switch (out.status) {
-    case FabricStatus::kComplete:
-      return 0;
-    case FabricStatus::kPartial:
-      return 3;
-    case FabricStatus::kInterrupted:
-      return 130;
-    case FabricStatus::kSupervisorCrashed:
-      return 1;
+  table.print_aligned(std::cout);
+  const double fair_mbps = to_mbps(net.capacity) / total;
+  SymmetricGame game{total, p.cubic_mbps, p.other_mbps};
+  const std::vector<int> ne = game.equilibria(cfg.tolerance_frac * fair_mbps);
+  std::string nes;
+  for (const int k : ne) {
+    if (!nes.empty()) nes += ", ";
+    nes += std::to_string(k);
   }
-  return 1;
+  std::printf("equilibria (k = %s flows on %s)\n", nes.c_str(),
+              to_string(cfg.challenger));
+  std::printf("%s\n", describe(parallel_telemetry()).c_str());
+  if (!cfg.checkpoint_path.empty()) {
+    const CheckpointLog done{cfg.checkpoint_path};
+    print_checkpoint_summary(cfg.checkpoint_path, done.size(), torn_lines);
+  }
+  if (cfg.trial.guard.chaos) {
+    std::fprintf(stderr, "%s\n", cfg.trial.guard.chaos->describe().c_str());
+  }
+  return 0;
 }
 
 /// One oracle query built from a flat key=value map (the command line, or
@@ -758,15 +677,6 @@ int main(int argc, char** argv) {
         return usage();
       }
       args.audit = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--fabric-stats") == 0) {
-      if (cmd != "sweep") {
-        std::fprintf(stderr, "unknown flag '--fabric-stats' for '%s'\n",
-                     cmd.c_str());
-        return usage();
-      }
-      args.fabric_stats = true;
       continue;
     }
     if (std::strcmp(argv[i], "--no-compute") == 0 ||

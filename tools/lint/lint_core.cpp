@@ -812,9 +812,8 @@ void rule_float(const FileContext& ctx) {
 void rule_process_control(const FileContext& ctx) {
   // Forking, signalling, reaping or replacing processes — and raw
   // socket/signal-disposition/unlink syscalls — make results depend on OS
-  // scheduling and host process state. The sweep fabric
-  // (src/exp/fabric.cpp) concentrates every such call into an annotated
-  // shim; anywhere else the call needs its own justifying annotation.
+  // scheduling and host process state. Sweeps run in-process, so no code
+  // path needs them; every such call carries its own justifying annotation.
   static const std::string_view kCalls[] = {
       "fork",   "vfork",  "waitpid",   "wait",   "kill",   "raise",
       "system", "popen",  "_exit",     "_Exit",  "execv",  "execve",
@@ -827,9 +826,8 @@ void rule_process_control(const FileContext& ctx) {
         if (!is_free_call(line, pos, fn)) return;
         ctx.add("process-control", static_cast<int>(i + 1),
                 std::string{fn} +
-                    "(): process/socket/signal control outside the "
-                    "annotated shim; route through src/exp/fabric.cpp, "
-                    "or justify with an allow annotation");
+                    "(): process/socket/signal control; justify with an "
+                    "allow annotation");
       });
     }
   }
