@@ -1,5 +1,7 @@
 #include "exp/checkpoint.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
@@ -17,16 +19,24 @@ namespace {
 /// Reserved field holding the cell key inside each record.
 constexpr const char* kKeyField = "key";
 
+/// Room for one field name; the longest a key uses, "di.gpgb", has 7
+/// characters.
+constexpr std::size_t kMaxFieldName = 16;
+
 /// Appends " <prefix><suffix>=<canonical text of v>". The field name comes
-/// in two parts so impairment fields ("di" + ".l") need no temporary.
+/// in two parts so impairment fields ("di" + ".l") need no temporary. The
+/// field is written into a stack buffer and appended to the key once.
 template <typename T>
 void append_kv(std::string& out, std::string_view prefix,
                std::string_view suffix, T v) {
-  out += ' ';
-  out += prefix;
-  out += suffix;
-  out += '=';
-  append_canonical(out, v);
+  assert(prefix.size() + suffix.size() <= kMaxFieldName);
+  char buf[kMaxFieldName + 2 + kCanonicalTextMax];
+  char* p = buf;
+  *p++ = ' ';
+  p = std::copy(prefix.begin(), prefix.end(), p);
+  p = std::copy(suffix.begin(), suffix.end(), p);
+  *p++ = '=';
+  out.append(buf, write_canonical(p, v));
 }
 
 template <typename T>

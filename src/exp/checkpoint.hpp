@@ -60,6 +60,14 @@ class CheckpointLog {
   void record(const std::string& key, JsonlRecord rec);
   /// Blocks until every record() accepted so far has reached the file.
   void flush();
+  /// Calls f(key, record) for every entry, in key order, under the log's
+  /// lock: f reads each record in place, without a copy, and must not call
+  /// back into this log.
+  template <typename F>
+  void for_each(F&& f) const {
+    const std::lock_guard<std::mutex> lk{mu_};
+    for (const auto& [key, rec] : entries_) f(key, rec);
+  }
   /// Unparseable lines skipped while replaying the log at construction.
   [[nodiscard]] std::size_t skipped_lines() const noexcept {
     return skipped_lines_;

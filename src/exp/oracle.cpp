@@ -169,17 +169,24 @@ PayoffOracle::PayoffOracle(OracleConfig cfg) : cfg_(std::move(cfg)) {
   // Hydrate side files first, the oracle's own cache last: on a key served
   // by both, the entry this oracle wrote previously is authoritative.
   for (const std::string& path : cfg_.hydrate_paths) {
-    hydrate_file(path, /*warn_on_skip=*/true);
+    hydrate_file(path);
   }
   if (!cfg_.cache_path.empty()) {
-    hydrate_file(cfg_.cache_path, /*warn_on_skip=*/false);
-    // CheckpointLog replays the file again (cheap) and warns about torn
-    // lines itself; it owns all appends from here on.
+    // The log parses the cache once, keeping the last record of each key,
+    // and warns about torn lines itself; the memo is filled from its
+    // entries in place. It owns all appends from here on.
     log_ = std::make_unique<CheckpointLog>(cfg_.cache_path);
+    log_->for_each([this](const std::string& key, const JsonlRecord& rec) {
+      // Records that are not mix cells never become answers.
+      if (key.rfind("mix", 0) != 0) return;
+      insert_locked(key, mix_from_record(rec));
+      ++stats_.hydrated_cells;
+    });
+    stats_.hydrate_skipped_lines += log_->skipped_lines();
   }
 }
 
-void PayoffOracle::hydrate_file(const std::string& path, bool warn_on_skip) {
+void PayoffOracle::hydrate_file(const std::string& path) {
   std::size_t skipped = 0;
   const std::vector<JsonlRecord> records = read_jsonl(path, &skipped);
   std::uint64_t loaded = 0;
@@ -192,7 +199,7 @@ void PayoffOracle::hydrate_file(const std::string& path, bool warn_on_skip) {
   }
   stats_.hydrated_cells += loaded;
   stats_.hydrate_skipped_lines += skipped;
-  if (warn_on_skip && skipped > 0) {
+  if (skipped > 0) {
     std::fprintf(stderr,
                  "oracle: skipped %zu unparseable line(s) hydrating %s\n",
                  skipped, path.c_str());
@@ -200,19 +207,19 @@ void PayoffOracle::hydrate_file(const std::string& path, bool warn_on_skip) {
 }
 
 void PayoffOracle::insert_locked(const std::string& key, const MixOutcome& m) {
-  memo_[key] = m;
+  const MixOutcome* cell = &memo_.insert_or_assign(key, m).first->second;
   const auto axes = parse_mix_key_axes(key);
   if (!axes) return;  // exact-hit only; no lattice point from odd keys
   std::vector<LatticePoint>& group = lattice_[axes->base];
   for (LatticePoint& p : group) {
     if (p.buffer == axes->buffer && p.num_cubic == axes->num_cubic &&
         p.num_other == axes->num_other) {
-      p.key = key;  // refreshed entry (last-write-wins, like the memo)
+      p.cell = cell;  // refreshed entry (last-write-wins, like the memo)
       return;
     }
   }
   group.push_back(
-      LatticePoint{axes->buffer, axes->num_cubic, axes->num_other, key});
+      LatticePoint{axes->buffer, axes->num_cubic, axes->num_other, cell});
 }
 
 std::optional<MixOutcome> PayoffOracle::try_interpolate_locked(
@@ -265,8 +272,7 @@ std::optional<MixOutcome> PayoffOracle::try_interpolate_locked(
       if (static_cast<double>(p.buffer) == b &&
           static_cast<double>(p.num_cubic) == c &&
           static_cast<double>(p.num_other) == o) {
-        const auto mit = memo_.find(p.key);
-        return mit == memo_.end() ? nullptr : &mit->second;
+        return p.cell;
       }
     }
     return nullptr;

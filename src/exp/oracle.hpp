@@ -167,7 +167,11 @@ struct OracleStats {
   std::uint64_t failed = 0;
   std::uint64_t interp_no_bounds = 0;  ///< would have extrapolated
   std::uint64_t interp_band_rejected = 0;  ///< blend outside model envelope
-  std::uint64_t hydrated_cells = 0;    ///< memo entries loaded at startup
+  /// Memo entries loaded at startup: every mix record of a side file
+  /// (hydrate_paths), plus the distinct mix keys of the oracle's own cache.
+  /// The cache's replay keeps the last record of a key, so a key written
+  /// twice there counts once.
+  std::uint64_t hydrated_cells = 0;
   std::uint64_t hydrate_skipped_lines = 0;  ///< torn/corrupt lines skipped
 };
 
@@ -211,15 +215,18 @@ class PayoffOracle {
   void flush();
 
  private:
+  /// One cached cell on its lattice. `cell` points into memo_: map nodes
+  /// never move, and a refreshed key overwrites its node in place.
   struct LatticePoint {
     Bytes buffer = 0;
     int num_cubic = 0;
     int num_other = 0;
-    std::string key;
+    const MixOutcome* cell = nullptr;
   };
 
   void insert_locked(const std::string& key, const MixOutcome& m);
-  void hydrate_file(const std::string& path, bool warn_on_skip);
+  /// Loads a read-only side file (hydrate_paths) into the memo.
+  void hydrate_file(const std::string& path);
   /// Tiers 1 + 2 under mu_; nullopt = miss (no counters touched beyond the
   /// per-tier hit/reject ones).
   [[nodiscard]] std::optional<OracleAnswer> cached_tiers_locked(

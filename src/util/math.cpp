@@ -7,30 +7,6 @@
 
 namespace bbrnash {
 
-std::optional<double> find_root_bisect(const std::function<double(double)>& f,
-                                       double lo, double hi,
-                                       const RootOptions& opts) {
-  if (lo > hi) std::swap(lo, hi);
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (std::signbit(flo) == std::signbit(fhi)) return std::nullopt;
-
-  for (int i = 0; i < opts.max_iterations && (hi - lo) > opts.tolerance; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0) return mid;
-    if (std::signbit(fmid) == std::signbit(flo)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 double inverse_lerp(double lo, double hi, double x) {
   if (hi == lo) return 0.0;
   return std::clamp((x - lo) / (hi - lo), 0.0, 1.0);

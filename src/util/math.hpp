@@ -1,8 +1,9 @@
 // Scalar root finding and small numeric helpers for the analytical models.
 #pragma once
 
-#include <functional>
+#include <cmath>
 #include <optional>
+#include <utility>
 
 namespace bbrnash {
 
@@ -16,10 +17,31 @@ struct RootOptions {
 /// Requires f(lo) and f(hi) to have opposite signs (or one of them to be
 /// zero); returns std::nullopt when the bracket does not straddle a root.
 /// Bisection is chosen over Newton because the model equations are cheap and
-/// we value unconditional convergence over iteration count.
-std::optional<double> find_root_bisect(const std::function<double(double)>& f,
-                                       double lo, double hi,
-                                       const RootOptions& opts = {});
+/// we value unconditional convergence over iteration count. A template on
+/// the callable, so each model solve inlines its residual.
+template <typename F>
+std::optional<double> find_root_bisect(F&& f, double lo, double hi,
+                                       const RootOptions& opts = {}) {
+  if (lo > hi) std::swap(lo, hi);
+  double flo = f(lo);
+  double fhi = f(hi);
+  if (flo == 0.0) return lo;
+  if (fhi == 0.0) return hi;
+  if (std::signbit(flo) == std::signbit(fhi)) return std::nullopt;
+
+  for (int i = 0; i < opts.max_iterations && (hi - lo) > opts.tolerance; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const double fmid = f(mid);
+    if (fmid == 0.0) return mid;
+    if (std::signbit(fmid) == std::signbit(flo)) {
+      lo = mid;
+      flo = fmid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
 
 /// Linear interpolation parameter: returns t such that
 /// lo + t*(hi-lo) == x, clamped to [0,1].

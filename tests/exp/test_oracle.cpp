@@ -724,6 +724,87 @@ TEST(OracleInterpolation, CorruptedRecordsNeverBecomeAnswers) {
   }
 }
 
+TEST(OracleHydration, OnePassCacheMatchesColdOracleOnEveryTier) {
+  // The oracle's own cache is parsed once, by its CheckpointLog, and the
+  // memo and lattice are filled from the log's entries. A cache holding a
+  // rewritten key, a non-mix record and a torn trailing line must serve
+  // exactly what an oracle hydrated from the clean cells serves.
+  const TrialConfig trial = quick_trial();
+  const std::string clean = write_synth_lattice(
+      "oracle_onepass_clean.jsonl", {1, 2}, {1, 2}, {2, 4}, trial);
+  const std::string rewritten_key =
+      mix_checkpoint_key(make_params(100, 40, 2), 1, 1, CcKind::kBbr, trial);
+  JsonlRecord stale = mix_to_record(synth_outcome(9, 9, 999));
+  stale.set("key", rewritten_key);
+
+  const std::string cache = temp_path("oracle_onepass_cache.jsonl");
+  {
+    std::ifstream in{clean};
+    std::ofstream out{cache, std::ios::trunc};
+    out << stale.encode() << '\n';  // rewritten below: the last record wins
+    out << in.rdbuf();
+    JsonlRecord other = mix_to_record(synth_outcome(1, 1, 1));
+    other.set("key", "nash something");
+    out << other.encode() << '\n';
+    out << "{\"key\": \"mix c=12500000 b=";  // torn
+  }
+  // A side file with the stale record: the oracle's own cache overrides
+  // it, and the lattice point re-points to the refreshed memo cell.
+  const std::string side = temp_path("oracle_onepass_side.jsonl");
+  {
+    std::ofstream out{side, std::ios::trunc};
+    out << stale.encode() << '\n';
+  }
+
+  const auto make_config = [](std::vector<std::string> side_paths) {
+    OracleConfig cfg;
+    cfg.hydrate_paths = std::move(side_paths);
+    cfg.no_compute = true;
+    cfg.max_band_deviation = 1e9;
+    return cfg;
+  };
+  OracleConfig warm_cfg = make_config({side});
+  warm_cfg.cache_path = cache;
+  PayoffOracle warm{warm_cfg};
+  PayoffOracle cold{make_config({clean})};
+  expect_same_snapshot(warm.snapshot(), cold.snapshot());
+
+  const OracleStats hydrated = warm.stats();
+  EXPECT_EQ(hydrated.hydrate_skipped_lines, 1u);
+  // One side-file record plus the cache's eight distinct mix keys; the
+  // rewritten key counts once and the non-mix record not at all.
+  EXPECT_EQ(hydrated.hydrated_cells, 9u);
+  EXPECT_EQ(cold.stats().hydrated_cells, 8u);
+
+  std::vector<OracleQuery> queries;
+  for (const int nc : {1, 2}) {
+    for (const int no : {1, 2}) {
+      for (const double bdp : {2.0, 3.0, 4.0}) {
+        queries.push_back(make_oq(bdp, nc, no, trial));
+      }
+      OracleQuery off = make_oq(3.0, nc, no, trial);
+      off.net = make_params(50, 40, 3.0);  // no cached cell at 50 Mbps
+      queries.push_back(off);
+    }
+  }
+  std::set<OracleFidelity> tiers;
+  for (const OracleQuery& q : queries) {
+    const OracleAnswer want = cold.query(q);
+    const OracleAnswer got = warm.query(q);
+    ASSERT_TRUE(want.ok()) << want.key;
+    EXPECT_EQ(got.status, want.status) << want.key;
+    EXPECT_EQ(got.fidelity, want.fidelity) << want.key;
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.band_deviation, want.band_deviation) << want.key;
+    expect_same_outcome(got.outcome, want.outcome);
+    tiers.insert(want.fidelity);
+  }
+  EXPECT_EQ(tiers.size(), 3u) << "exact, interpolated and model-only";
+  EXPECT_EQ(warm.stats().exact_hits, cold.stats().exact_hits);
+  EXPECT_EQ(warm.stats().interpolated, cold.stats().interpolated);
+  EXPECT_EQ(warm.stats().model_only, cold.stats().model_only);
+}
+
 // --- no_compute contract -------------------------------------------------
 
 TEST(OracleNoCompute, NeverFabricatesNumbers) {

@@ -98,6 +98,38 @@ TEST(CanonicalText, DoubleMatchesPrintfOnEdgeValues) {
   }
 }
 
+TEST(CanonicalText, IntegralDoublesMatchPrintf) {
+  // Integral doubles below 2^53 in magnitude take the integer path; the
+  // values at and past that edge, and -0.0, must still read as %.17g.
+  constexpr double kTwoPow53 = 9007199254740992.0;
+  std::vector<double> values = {
+      0.0,           -0.0,         1.0,          -1.0,
+      kTwoPow53 - 1, -(kTwoPow53 - 1), kTwoPow53, -kTwoPow53,
+      kTwoPow53 + 2, -(kTwoPow53 + 2), 1e15,      1e16,
+      1e17 - 16,     1e17,         123456789012345680.0};
+  // Seeded integral values at every magnitude up to 2^63: a random 64-bit
+  // integer shifted right by 0..63 bits, with a random sign.
+  Rng rng{20261019};
+  for (int shift = 0; shift < 64; ++shift) {
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t bits = rng.next_u64();
+      const double mag = static_cast<double>(bits >> shift);
+      values.push_back((bits & 1) != 0 ? -mag : mag);
+    }
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    ASSERT_EQ(v, std::trunc(v));
+    const std::string want = printf_g17(v);
+    const std::string got = canonical(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v)
+                    << ": \"" << got << "\" vs printf \"" << want << '"';
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+}
+
 TEST(CanonicalText, IntegersMatchPrintf) {
   for (const long long v : {0LL, 1LL, -1LL, 42LL, LLONG_MIN, LLONG_MAX}) {
     char buf[32];

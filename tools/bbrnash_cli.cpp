@@ -38,7 +38,8 @@
 // with `--empirical` it also runs the crossing search on the simulator
 // (`--jobs N` fans the per-distribution trials out over N worker threads;
 // the result is bit-identical to --jobs 1). `sweep` measures the full
-// payoff grid k = 0..N on `--jobs N` threads; with `--checkpoint PATH` a
+// payoff grid k = 0..N on `--jobs N` threads (like `nash --empirical`,
+// default 0: one per hardware thread); with `--checkpoint PATH` a
 // killed sweep re-run on the same log resumes from its finished cells,
 // bit-identical to an uninterrupted run. Sweep exit codes: 0 complete,
 // 1 hard error (a cell completed zero trials), 2 usage.
@@ -144,6 +145,8 @@ int usage() {
       "[--duration S]\n"
       "         [--warmup S] [--seed N] [--jobs N] [--challenger CC]\n"
       "         [--tolerance F] [--audit] [--chaos SEED]\n"
+      "         --jobs 0 (default, also for nash): one per hardware "
+      "thread\n"
       "         exit: 0 complete, 1 error, 2 usage\n"
       "  oracle: --cubic N --other N [--challenger CC] [--trials N]\n"
       "         [--duration S] [--warmup S] [--seed N] [--jobs N]\n"
@@ -451,7 +454,7 @@ int cmd_sweep(const Args& args) {
   cfg.trial.duration = from_sec(args.num("duration", 30));
   cfg.trial.warmup = from_sec(args.num("warmup", args.num("duration", 30) / 4));
   cfg.trial.seed = args.u64("seed", 1);
-  cfg.trial.jobs = args.integer("jobs", 1);
+  cfg.trial.jobs = args.integer("jobs", 0);
   cfg.tolerance_frac = args.num("tolerance", cfg.tolerance_frac);
   cfg.checkpoint_path = args.str("checkpoint", "");
   cfg.trial.audit.enabled = args.audit;
@@ -698,11 +701,15 @@ int main(int argc, char** argv) {
       }
       continue;
     }
-    if (std::strncmp(argv[i], "--", 2) == 0 && i + 1 < argc) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
       const std::string key = argv[i] + 2;
       if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
         std::fprintf(stderr, "unknown flag '--%s' for '%s'\n", key.c_str(),
                      cmd.c_str());
+        return usage();
+      }
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "--%s needs a value\n", key.c_str());
         return usage();
       }
       args.kv[key] = argv[i + 1];
